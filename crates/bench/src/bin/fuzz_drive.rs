@@ -95,6 +95,7 @@ fn main() {
     let mut proved_nt = 0u64;
     let mut label_nt_proved = 0u64;
     let mut timeouts = 0u64;
+    let mut lps_checked = 0u64;
     let mut failing = Vec::new();
 
     for g in &batch {
@@ -120,6 +121,7 @@ fn main() {
         if report.timed_out {
             timeouts += 1;
         }
+        lps_checked += report.lps_checked as u64;
         if report.passed() {
             continue;
         }
@@ -176,6 +178,7 @@ fn main() {
         ("proved_nontermination", Json::from(proved_nt)),
         ("label_nt_proved", Json::from(label_nt_proved)),
         ("timeouts", Json::from(timeouts)),
+        ("lps_checked", Json::from(lps_checked)),
         ("failure_counts", count_obj(&failure_counts)),
         (
             "failing",

@@ -8,10 +8,10 @@
 //!   feasibility/optimisation problems and entailment chains solved through
 //!   [`revterm_solver::LpProblem`]. This spends essentially all of its time
 //!   in `Rat`/`Int` arithmetic inside simplex pivoting, so it isolates the
-//!   arithmetic tower from prover logic. The whole workload runs **three
-//!   times**: through the revised simplex (`solve_revised`, the default
-//!   engine), the sparse tableau (`solve`) and the dense reference tableau
-//!   (`solve_dense`), with separate timings and digests.
+//!   arithmetic tower from prover logic. The whole workload runs **twice**:
+//!   through the LP engine (`solve`, and the entailment oracle built on it)
+//!   and through the dense reference tableau (`solve_dense`), with separate
+//!   timings and digests.
 //! * **Poly-kernel microloop** — a deterministic polynomial family spanning
 //!   both monomial tiers (packed `u64` keys and interned large monomials),
 //!   whose flat merge/multiply kernels are timed and differentially digested
@@ -21,9 +21,8 @@
 //!   path" claim is asserted, not assumed.
 //! * **Degree-1 sweep** — the paper's running example swept over the
 //!   24-cell degree-1 configuration grid: fresh per-configuration `prove`
-//!   calls through each of the three LP engines, and a warm
-//!   [`revterm::ProverSession`] (mirroring `session_vs_fresh`) whose
-//!   revised-simplex warm-start counters are reported alongside the
+//!   calls, and a warm [`revterm::ProverSession`] (mirroring
+//!   `session_vs_fresh`) whose LP counters are reported alongside the
 //!   timings.  The same sessioned sweep then runs again with the
 //!   abstract-interpretation machinery disabled (`absint: false` plus
 //!   `interval_fast_path: false`): the on/off verdict digests must match
@@ -32,16 +31,15 @@
 //!   fixpoint analysis itself is timed as `absint_analyze_secs`.
 //!
 //! Every workload folds its results into an FNV-1a digest. The digests are
-//! pure functions of the computed values, so two runs (or two engines, or
-//! two builds) that print the same digest produced bitwise-identical LP
-//! solutions and prover verdicts — this is how both the "optimisations must
-//! not change any verdict" and the "all three simplex engines are
-//! indistinguishable" acceptance criteria are checked on every run. The
-//! process exits non-zero if any engine digest or fresh/sessioned verdict
-//! comparison diverges, if the flat poly kernels diverge from the BTreeMap
-//! reference, if the packed hashing loop allocates, or if the sessioned
-//! sweep reports a zero warm-start hit rate (the revised engine's whole
-//! point).
+//! pure functions of the computed values, so two runs (or the engine and
+//! its reference, or two builds) that print the same digest produced
+//! bitwise-identical LP solutions and prover verdicts — this is how both the
+//! "optimisations must not change any verdict" and the "the LP engine is
+//! indistinguishable from the dense reference" acceptance criteria are
+//! checked on every run. The process exits non-zero if the engine and
+//! reference digests or the fresh/sessioned verdicts diverge, if the flat
+//! poly kernels diverge from the BTreeMap reference, if the packed hashing
+//! loop allocates, or if the absint on/off gate fails.
 //!
 //! ```text
 //! cargo run --release -p revterm-bench --bin num_profile [lp_iters]
@@ -50,7 +48,9 @@
 use revterm::{degree1_sweep, prove, ProverSession};
 use revterm_num::{rat, Fnv64, Rat};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
-use revterm_solver::{entails_with_witness, EntailmentOptions, LpEngine, LpProblem, Rel, VarKind};
+use revterm_solver::{
+    entails_with_witness, multiplier_lp, EntailmentOptions, LpProblem, Rel, VarKind,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,22 +180,42 @@ fn build_chain_query(rng: &mut Rng, n: usize, slack: i64) -> (Vec<Poly>, Poly) {
     (premises, conclusion)
 }
 
-/// Runs the whole microloop workload through one LP engine and returns
-/// `(feasible_count, seconds, digest)`.
+/// The entailment oracle's answer to a chain query with its multiplier LPs
+/// rebuilt and solved by the dense reference: the conclusion LP's
+/// multipliers, else the empty witness when the unsat-fallback LP is
+/// feasible. With the engine in place of the reference this is exactly
+/// [`entails_with_witness`].
+fn dense_chain_witness(
+    premises: &[Poly],
+    conclusion: &Poly,
+    opts: &EntailmentOptions,
+) -> Option<Vec<Rat>> {
+    let lp = multiplier_lp(premises, Some(conclusion), opts)
+        .expect("chain conclusions are not constant");
+    if let Some(sol) = lp.solve_dense().solution() {
+        return Some(sol.iter().map(|(_, v)| v.clone()).collect());
+    }
+    if !opts.use_unsat_fallback {
+        return None;
+    }
+    let unsat = multiplier_lp(premises, None, opts).expect("chain premises are not constant");
+    unsat.solve_dense().is_feasible().then(Vec::new)
+}
+
+/// Runs the whole microloop workload and returns `(feasible_count, seconds,
+/// digest)`: through the engine (`solve` plus the entailment oracle) when
+/// `reference` is `false`, else through the dense reference tableau.
 fn run_microloop(
     problems: &[LpProblem],
     queries: &[(Vec<Poly>, Poly)],
-    opts: &EntailmentOptions,
+    reference: bool,
 ) -> (usize, f64, u64) {
+    let opts = EntailmentOptions::linear();
     let mut digest = Fnv64::new();
     let mut feasible = 0usize;
     let start = Instant::now();
     for lp in problems {
-        let result = match opts.lp_engine {
-            LpEngine::Revised => lp.solve_revised(),
-            LpEngine::SparseTableau => lp.solve(),
-            LpEngine::Dense => lp.solve_dense(),
-        };
+        let result = if reference { lp.solve_dense() } else { lp.solve() };
         match result.solution() {
             Some(sol) => {
                 feasible += 1;
@@ -210,7 +230,12 @@ fn run_microloop(
         }
     }
     for (premises, conclusion) in queries {
-        match entails_with_witness(premises, conclusion, opts) {
+        let witness = if reference {
+            dense_chain_witness(premises, conclusion, &opts)
+        } else {
+            entails_with_witness(premises, conclusion, &opts)
+        };
+        match witness {
             Some(witness) => {
                 feasible += 1;
                 digest.write(b"yes:");
@@ -232,16 +257,8 @@ fn main() {
     // --- LP-heavy microloop -------------------------------------------------
     // Two deterministic problem families, fixed up front so only the solving
     // is timed: raw simplex instances, and Farkas entailment chains (the
-    // shape the prover's consecution checks produce). Both run through all
-    // three LP engines.
-    let with_engine = |engine: LpEngine| {
-        let mut o = EntailmentOptions::linear();
-        o.lp_engine = engine;
-        o
-    };
-    let opts = with_engine(LpEngine::Revised);
-    let sparse_opts = with_engine(LpEngine::SparseTableau);
-    let dense_opts = with_engine(LpEngine::Dense);
+    // shape the prover's consecution checks produce). Both run through the
+    // engine and through the dense reference.
     let mut problems = Vec::new();
     let mut queries = Vec::new();
     {
@@ -259,15 +276,9 @@ fn main() {
             }
         }
     }
-    let (feasible, lp_secs, lp_digest) = run_microloop(&problems, &queries, &opts);
-    let (sparse_feasible, lp_sparse_secs, lp_sparse_digest) =
-        run_microloop(&problems, &queries, &sparse_opts);
-    let (dense_feasible, lp_dense_secs, lp_dense_digest) =
-        run_microloop(&problems, &queries, &dense_opts);
-    let lp_digests_match = lp_digest == lp_sparse_digest
-        && lp_digest == lp_dense_digest
-        && feasible == sparse_feasible
-        && feasible == dense_feasible;
+    let (feasible, lp_secs, lp_digest) = run_microloop(&problems, &queries, false);
+    let (dense_feasible, lp_dense_secs, lp_dense_digest) = run_microloop(&problems, &queries, true);
+    let lp_digests_match = lp_digest == lp_dense_digest && feasible == dense_feasible;
 
     // --- Poly-kernel microloop ----------------------------------------------
     // A deterministic polynomial family: mostly packed-tier monomials
@@ -372,28 +383,9 @@ fn main() {
         .expect("paper_fig1_running missing from suite");
     let ts = bench.transition_system();
     let configs = degree1_sweep();
-    // The same grid with the LP engine forced on every cell (the default is
-    // already Revised; the explicit variants keep the comparison honest even
-    // if the default changes).
-    let engine_configs = |engine: LpEngine| -> Vec<_> {
-        configs
-            .iter()
-            .map(|c| {
-                let mut c = c.clone();
-                c.entailment.lp_engine = engine;
-                c
-            })
-            .collect()
-    };
-
-    let sweep_with = |grid: &[revterm::ProverConfig]| -> (Vec<bool>, f64) {
-        let start = Instant::now();
-        let verdicts: Vec<bool> = grid.iter().map(|c| prove(&ts, c).is_non_terminating()).collect();
-        (verdicts, start.elapsed().as_secs_f64())
-    };
-    let (fresh, sweep_fresh_secs) = sweep_with(&engine_configs(LpEngine::Revised));
-    let (sparse, sweep_sparse_secs) = sweep_with(&engine_configs(LpEngine::SparseTableau));
-    let (dense, sweep_dense_secs) = sweep_with(&engine_configs(LpEngine::Dense));
+    let fresh_start = Instant::now();
+    let fresh: Vec<bool> = configs.iter().map(|c| prove(&ts, c).is_non_terminating()).collect();
+    let sweep_fresh_secs = fresh_start.elapsed().as_secs_f64();
 
     let mut session = ProverSession::new(ts.clone());
     let session_start = Instant::now();
@@ -401,11 +393,6 @@ fn main() {
     let sweep_session_secs = session_start.elapsed().as_secs_f64();
     let sessioned: Vec<bool> = report.outcomes.iter().map(|o| o.proved).collect();
     let lp_stats = session.stats().aggregate.lp;
-    let warm_hit_rate = if lp_stats.warm_lookups == 0 {
-        0.0
-    } else {
-        lp_stats.warm_hits as f64 / lp_stats.warm_lookups as f64
-    };
 
     // The abstract-interpretation pre-analysis: time the fixpoint itself,
     // then run the same sessioned sweep with the whole absint machinery off
@@ -445,22 +432,16 @@ fn main() {
         d.finish()
     };
     let verdict_digest = digest_of(&fresh);
-    let verdict_sparse_digest = digest_of(&sparse);
-    let verdict_dense_digest = digest_of(&dense);
-    let verdict_digests_match =
-        verdict_digest == verdict_sparse_digest && verdict_digest == verdict_dense_digest;
     let verdicts_match = fresh == sessioned;
     let verdict_absint_off_digest = digest_of(&absint_off);
     let absint_verdicts_match = verdict_absint_off_digest == verdict_digest;
 
     println!(
-        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_sparse_secs\":{:.3},\"lp_sparse_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_sparse_secs\":{:.3},\"sweep_dense_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"session_lp_refactorizations\":{},\"session_warm_lookups\":{},\"session_warm_hits\":{},\"session_warm_hit_rate\":{:.3},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_sparse_digest\":\"{:016x}\",\"verdict_dense_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdict_digests_match\":{},\"verdicts_match\":{},\"absint_verdicts_match\":{}}}",
+        "{{\"lp_problems\":{},\"lp_feasible\":{},\"lp_secs\":{:.3},\"lp_digest\":\"{:016x}\",\"lp_dense_secs\":{:.3},\"lp_dense_digest\":\"{:016x}\",\"lp_digests_match\":{},\"poly_mul_secs\":{:.3},\"poly_mul_digest\":\"{:016x}\",\"poly_digests_match\":{},\"poly_hash_secs\":{:.3},\"poly_hash_allocs\":{},\"interned_monomials\":{},\"sweep_benchmark\":\"{}\",\"sweep_configs\":{},\"sweep_fresh_secs\":{:.3},\"sweep_session_secs\":{:.3},\"session_lp_solves\":{},\"session_lp_pivots\":{},\"absint_analyze_secs\":{:.6},\"absint_fast_paths\":{},\"absint_prunes\":{},\"sweep_absint_off_secs\":{:.3},\"verdict_digest\":\"{:016x}\",\"verdict_absint_off_digest\":\"{:016x}\",\"verdicts_match\":{},\"absint_verdicts_match\":{}}}",
         problems.len() + queries.len(),
         feasible,
         lp_secs,
         lp_digest,
-        lp_sparse_secs,
-        lp_sparse_digest,
         lp_dense_secs,
         lp_dense_digest,
         lp_digests_match,
@@ -473,31 +454,22 @@ fn main() {
         bench.name,
         configs.len(),
         sweep_fresh_secs,
-        sweep_sparse_secs,
-        sweep_dense_secs,
         sweep_session_secs,
         lp_stats.solves,
         lp_stats.pivots,
-        lp_stats.refactorizations,
-        lp_stats.warm_lookups,
-        lp_stats.warm_hits,
-        warm_hit_rate,
         absint_analyze_secs,
         absint_fast_paths,
         absint_prunes,
         sweep_absint_off_secs,
         verdict_digest,
-        verdict_sparse_digest,
-        verdict_dense_digest,
         verdict_absint_off_digest,
-        verdict_digests_match,
         verdicts_match,
         absint_verdicts_match,
     );
 
     let mut failed = false;
     if !lp_digests_match {
-        eprintln!("FAIL: the three LP engines produced diverging solutions");
+        eprintln!("FAIL: the LP engine and the dense reference produced diverging solutions");
         failed = true;
     }
     if !poly_digests_match {
@@ -510,16 +482,8 @@ fn main() {
         );
         failed = true;
     }
-    if !verdict_digests_match {
-        eprintln!("FAIL: sweep verdicts diverged across the three LP engines");
-        failed = true;
-    }
     if !verdicts_match {
         eprintln!("FAIL: sessioned verdicts diverged from fresh verdicts");
-        failed = true;
-    }
-    if lp_stats.warm_hits == 0 {
-        eprintln!("FAIL: the sessioned sweep never hit the warm-start basis cache");
         failed = true;
     }
     if !absint_verdicts_match {

@@ -54,7 +54,7 @@ fn main() {
         all_matched &= verdicts_match;
         let agg = session.stats().aggregate;
         println!(
-            "{{\"benchmark\":\"{}\",\"configs\":{},\"proved_cells\":{},\"fresh_secs\":{:.3},\"session_secs\":{:.3},\"speedup\":{:.2},\"verdicts_match\":{},\"entailment_calls\":{},\"entailment_cache_hits\":{},\"probe_cache_hits\":{},\"artifact_cache_hits\":{},\"lp_solves\":{},\"lp_pivots\":{},\"lp_refactorizations\":{},\"lp_warm_lookups\":{},\"lp_warm_hits\":{}}}",
+            "{{\"benchmark\":\"{}\",\"configs\":{},\"proved_cells\":{},\"fresh_secs\":{:.3},\"session_secs\":{:.3},\"speedup\":{:.2},\"verdicts_match\":{},\"entailment_calls\":{},\"entailment_cache_hits\":{},\"probe_cache_hits\":{},\"artifact_cache_hits\":{},\"lp_solves\":{},\"lp_pivots\":{}}}",
             bench.name,
             configs.len(),
             sessioned.iter().filter(|p| **p).count(),
@@ -68,9 +68,6 @@ fn main() {
             agg.artifact_cache_hits,
             agg.lp.solves,
             agg.lp.pivots,
-            agg.lp.refactorizations,
-            agg.lp.warm_lookups,
-            agg.lp.warm_hits,
         );
     }
 

@@ -27,19 +27,17 @@
 //! are FNV-1a hashes folded over the decimal renderings of every computed
 //! value, so equal digests mean **bitwise-identical** results (same exact
 //! rationals, not just same verdicts) — across runs, across commits, and
-//! across all three LP engines (revised, sparse tableau, dense tableau).
+//! between the LP engine and its dense reference tableau.
 //!
 //! | field | meaning |
 //! |---|---|
 //! | `lp_problems` | number of LP instances + entailment-chain queries in the microloop |
 //! | `lp_feasible` | how many of those were feasible/entailed (workload shape check) |
-//! | `lp_secs` | seconds for the whole microloop through the revised engine ([`revterm_solver::LpProblem::solve_revised`], the default) |
-//! | `lp_digest` | FNV-1a digest of every LP solution and Farkas witness from the revised run |
-//! | `lp_sparse_secs` | same workload through the sparse tableau ([`revterm_solver::LpProblem::solve`]) |
-//! | `lp_sparse_digest` | digest of the sparse-tableau run; must equal `lp_digest` |
-//! | `lp_dense_secs` | same workload through the dense reference engine ([`revterm_solver::LpProblem::solve_dense`]) |
+//! | `lp_secs` | seconds for the whole microloop through the LP engine ([`revterm_solver::LpProblem::solve`] and the entailment oracle) |
+//! | `lp_digest` | FNV-1a digest of every LP solution and Farkas witness from the engine run |
+//! | `lp_dense_secs` | same workload through the dense reference ([`revterm_solver::LpProblem::solve_dense`]; Farkas LPs rebuilt with [`revterm_solver::multiplier_lp`]) |
 //! | `lp_dense_digest` | digest of the dense run; must equal `lp_digest` |
-//! | `lp_digests_match` | three-way digest agreement (process exits 1 when false) |
+//! | `lp_digests_match` | engine vs reference digest agreement (process exits 1 when false) |
 //! | `poly_mul_secs` | seconds for the poly-kernel microloop: flat merge-multiply over a two-tier monomial family |
 //! | `poly_mul_digest` | digest of every product's term list from the flat kernels |
 //! | `poly_digests_match` | flat kernels vs `BTreeMap` reference agreement (exit 1 when false) |
@@ -48,21 +46,18 @@
 //! | `interned_monomials` | size of the process-global large-monomial intern pool ([`revterm_poly::mono_pool_stats`]) |
 //! | `sweep_benchmark` | benchmark used for the sweep workload (the paper's running example) |
 //! | `sweep_configs` | number of degree-1 grid cells swept (24) |
-//! | `sweep_fresh_secs` | fresh per-configuration `prove` calls, revised engine |
-//! | `sweep_sparse_secs` | the same fresh sweep forced onto the sparse tableau |
-//! | `sweep_dense_secs` | the same fresh sweep forced onto the dense tableau |
+//! | `sweep_fresh_secs` | fresh per-configuration `prove` calls |
 //! | `sweep_session_secs` | the same grid through one warm [`revterm::ProverSession`] |
 //! | `session_lp_solves` | LP solves issued by the sessioned sweep ([`revterm::ProveStats::lp`] totals) |
 //! | `session_lp_pivots` | simplex pivots across those solves |
-//! | `session_lp_refactorizations` | warm-start basis refactorizations |
-//! | `session_warm_lookups` | solves that consulted the session [`revterm_solver::BasisCache`] |
-//! | `session_warm_hits` | of those, resumed from a stored basis (exit 1 when zero) |
-//! | `session_warm_hit_rate` | `session_warm_hits / session_warm_lookups` |
-//! | `verdict_digest` | digest of the per-cell fresh verdicts (revised engine) |
-//! | `verdict_sparse_digest` | digest of the sparse-tableau sweep verdicts; must equal `verdict_digest` |
-//! | `verdict_dense_digest` | digest of the dense-tableau sweep verdicts; must equal `verdict_digest` |
-//! | `verdict_digests_match` | three-way sweep agreement (exit 1 when false) |
+//! | `absint_analyze_secs` | seconds for one interval/sign fixpoint ([`revterm_absint::analyze`]) of the benchmark |
+//! | `absint_fast_paths` | entailments the sessioned sweep closed by the interval fast path |
+//! | `absint_prunes` | probe batches the sessioned sweep skipped (fast paths + prunes must be > 0, else exit 1) |
+//! | `sweep_absint_off_secs` | the sessioned sweep again with `absint` and `interval_fast_path` off |
+//! | `verdict_digest` | digest of the per-cell fresh verdicts |
+//! | `verdict_absint_off_digest` | digest of the absint-off sweep verdicts; must equal `verdict_digest` |
 //! | `verdicts_match` | fresh vs sessioned verdict agreement (exit 1 when false) |
+//! | `absint_verdicts_match` | absint on vs off verdict agreement (exit 1 when false; also exit 1 if the off sweep took any absint path) |
 //!
 //! ## `session_vs_fresh` (one JSON object per benchmark)
 //!
@@ -83,9 +78,6 @@
 //! | `artifact_cache_hits` | resolutions/initials/pools/systems reused across cells |
 //! | `lp_solves` | LP solves issued by the sessioned sweep |
 //! | `lp_pivots` | simplex pivots across those solves |
-//! | `lp_refactorizations` | warm-start basis refactorizations |
-//! | `lp_warm_lookups` | solves that consulted the session [`revterm_solver::BasisCache`] |
-//! | `lp_warm_hits` | of those, resumed from a stored optimal basis |
 //!
 //! ## `serve_smoke` (one JSON object per run)
 //!
@@ -108,8 +100,9 @@
 //! Differential fuzzing: a seeded batch of labelled random programs
 //! ([`revterm_fuzzgen::generate_batch`]) each run through the four-oracle
 //! harness ([`revterm_fuzzgen::differential`]) — baseline claim table,
-//! independent certificate validation, absint on/off digests, and the three
-//! LP engines. Any failing program is minimized in-process by the fuzzgen
+//! independent certificate validation, absint on/off digests, and an
+//! LP-level check that re-solves a sample of each run's own multiplier LPs
+//! with the dense reference. Any failing program is minimized in-process by the fuzzgen
 //! shrinker and embedded in the JSON (and written to `--harvest DIR` as a
 //! repro file for `tests/fuzz_regressions/`). Exits non-zero on any oracle
 //! failure or missing known-label coverage.
@@ -125,7 +118,8 @@
 //! | `families` | programs per generator family |
 //! | `proved_nontermination` | programs the portfolio proved non-terminating |
 //! | `label_nt_proved` | of those, programs whose label was already `non-terminating` |
-//! | `timeouts` | primary runs cut short by the portfolio budget (digest axes skipped there) |
+//! | `timeouts` | primary runs cut short by the portfolio budget (the absint digest axis is skipped there) |
+//! | `lps_checked` | multiplier LPs the LP-level check re-solved with both the engine and the dense reference ([`revterm_fuzzgen::sample_lps`]) |
 //! | `failure_counts` | oracle failures by kind (`verdict-mismatch` / `invalid-certificate` / `digest-divergence`) |
 //! | `failing` | per-failure records: seed, family, label, failure details, shrunk repro source |
 //! | `elapsed_ms` | wall-clock for the whole batch |

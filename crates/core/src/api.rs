@@ -35,7 +35,7 @@ use crate::prover::{ProofResult, Verdict};
 use crate::session::ProveStats;
 use crate::sweep::SweepReport;
 use crate::CheckKind;
-use revterm_solver::{LpEngine, LpStats};
+use revterm_solver::LpStats;
 use revterm_ts::TransitionSystem;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
@@ -131,23 +131,6 @@ fn parse_hex_digest(s: &str) -> Result<u64, Error> {
 // ProverConfig <-> JSON
 // ---------------------------------------------------------------------------
 
-fn lp_engine_name(engine: LpEngine) -> &'static str {
-    match engine {
-        LpEngine::Revised => "revised",
-        LpEngine::SparseTableau => "sparse",
-        LpEngine::Dense => "dense",
-    }
-}
-
-fn lp_engine_from_name(name: &str) -> Result<LpEngine, Error> {
-    match name {
-        "revised" => Ok(LpEngine::Revised),
-        "sparse" => Ok(LpEngine::SparseTableau),
-        "dense" => Ok(LpEngine::Dense),
-        other => Err(Error::Protocol(format!("unknown lp engine {other:?}"))),
-    }
-}
-
 /// Serializes a full configuration.  The labelled axes travel as the
 /// [`ProverConfig::label`] string; every non-labelled field is explicit, so
 /// the encoding round-trips configurations that stray from the defaults.
@@ -170,7 +153,6 @@ pub fn config_to_json(config: &ProverConfig) -> Json {
                 ("max_product_size", Json::from(config.entailment.max_product_size as u64)),
                 ("max_product_degree", Json::from(config.entailment.max_product_degree as u64)),
                 ("use_unsat_fallback", Json::Bool(config.entailment.use_unsat_fallback)),
-                ("lp_engine", Json::from(lp_engine_name(config.entailment.lp_engine))),
                 ("interval_fast_path", Json::Bool(config.entailment.interval_fast_path)),
             ]),
         ),
@@ -219,7 +201,6 @@ pub fn config_from_json(value: &Json) -> Result<ProverConfig, Error> {
     config.entailment.max_product_size = entail.u64_field("max_product_size")? as usize;
     config.entailment.max_product_degree = entail.u64_field("max_product_degree")? as u32;
     config.entailment.use_unsat_fallback = entail.bool_field("use_unsat_fallback")?;
-    config.entailment.lp_engine = lp_engine_from_name(entail.str_field("lp_engine")?)?;
     config.entailment.interval_fast_path = entail.bool_field("interval_fast_path")?;
     config.max_resolutions = obj.u64_field("max_resolutions")? as usize;
     config.max_initial_configs = obj.u64_field("max_initial_configs")? as usize;
@@ -254,9 +235,6 @@ pub fn stats_to_json(stats: &ProveStats) -> Json {
             Json::obj(vec![
                 ("solves", Json::from(stats.lp.solves)),
                 ("pivots", Json::from(stats.lp.pivots)),
-                ("refactorizations", Json::from(stats.lp.refactorizations)),
-                ("warm_lookups", Json::from(stats.lp.warm_lookups)),
-                ("warm_hits", Json::from(stats.lp.warm_hits)),
                 ("absint_fast_paths", Json::from(stats.lp.absint_fast_paths)),
             ]),
         ),
@@ -280,10 +258,8 @@ pub fn stats_from_json(value: &Json) -> Result<ProveStats, Error> {
         lp: LpStats {
             solves: lp.u64_field("solves")?,
             pivots: lp.u64_field("pivots")?,
-            refactorizations: lp.u64_field("refactorizations")?,
-            warm_lookups: lp.u64_field("warm_lookups")?,
-            warm_hits: lp.u64_field("warm_hits")?,
             absint_fast_paths: lp.u64_field("absint_fast_paths")?,
+            ..LpStats::default()
         },
     })
 }
@@ -852,11 +828,35 @@ mod tests {
             .absint(false)
             .time_limit(Duration::from_millis(250))
             .build();
-        config.entailment.lp_engine = LpEngine::Dense;
+        config.entailment.use_unsat_fallback = false;
         config.budget.max_entailment_calls = Some(12345);
         config.search.grid = 5;
         let roundtripped = config_from_json(&config_to_json(&config)).unwrap();
         assert_eq!(roundtripped, config);
+    }
+
+    #[test]
+    fn a_retired_lp_engine_field_is_ignored() {
+        // Version-1 clients may still send the `lp_engine` field that named
+        // one of the since-deleted simplex engines. The decoder ignores
+        // unknown fields, so such a request decodes to the same config.
+        let config = ProverConfig::builder().max_resolutions(7).build();
+        let request = ProveRequest {
+            id: 9,
+            body: RequestBody::Prove {
+                source: RUNNING.into(),
+                configs: vec![config],
+                deadline_ms: None,
+            },
+        };
+        let line = request.to_json().to_string();
+        let anchor = r#""use_unsat_fallback":true"#;
+        assert!(line.contains(anchor), "{line}");
+        let legacy = line.replace(anchor, &format!(r#"{anchor},"lp_engine":"sparse""#));
+        assert!(legacy.contains(r#""lp_engine":"sparse""#));
+        let decode = |l: &str| ProveRequest::from_json(&json::parse_json(l).unwrap()).unwrap();
+        assert_eq!(decode(&legacy), decode(&line));
+        assert_eq!(decode(&legacy), request);
     }
 
     #[test]
@@ -875,8 +875,7 @@ mod tests {
         };
         stats.lp.solves = 44;
         stats.lp.pivots = 1234;
-        stats.lp.warm_lookups = 44;
-        stats.lp.warm_hits = 11;
+        stats.lp.absint_fast_paths = 11;
         assert_eq!(stats_from_json(&stats_to_json(&stats)).unwrap(), stats);
     }
 

@@ -132,7 +132,7 @@ pub(crate) fn check1_cached(
         return Ok(None);
     }
     let resolutions = caches.resolutions_for(ts, config, stats);
-    let Caches { entail, lp_basis, restricted, .. } = caches;
+    let Caches { entail, lp, restricted, .. } = caches;
     let mut synthesis_budget = 8usize;
     for resolution in resolutions {
         if guard.exhausted(entail.lookups) {
@@ -210,7 +210,7 @@ pub(crate) fn check1_cached(
                     &options,
                     pool,
                     entail,
-                    lp_basis,
+                    lp,
                     &guard.synthesis_budget(),
                 ) else {
                     return Err(TimedOut);
@@ -239,11 +239,11 @@ pub(crate) fn check1_cached(
                         if fast
                             && revterm_absint::close_premises(premises.iter()).is_contradiction()
                         {
-                            lp_basis.stats.absint_fast_paths += 1;
+                            lp.absint_fast_paths += 1;
                             return true;
                         }
                         let premises: Arc<[Poly]> = premises.into();
-                        entail.implies_false(&premises, &config.entailment, lp_basis)
+                        entail.implies_false(&premises, &config.entailment, lp)
                     })
                 });
             if !blocked {

@@ -52,7 +52,7 @@ pub(crate) fn check2_cached(
     guard: &BudgetGuard,
 ) -> Result<Option<NonTerminationCertificate>, TimedOut> {
     let resolutions = caches.resolutions_for(ts, config, stats);
-    let Caches { entail, lp_basis, base_pool, forward_samples, tilde, restricted, .. } = caches;
+    let Caches { entail, lp, base_pool, forward_samples, tilde, restricted, .. } = caches;
     if guard.exhausted(entail.lookups) {
         return Err(TimedOut);
     }
@@ -86,7 +86,7 @@ pub(crate) fn check2_cached(
             &tilde_options,
             base_pool,
             entail,
-            lp_basis,
+            lp,
             &guard.synthesis_budget(),
         ) else {
             return Err(TimedOut);
@@ -201,7 +201,7 @@ pub(crate) fn check2_cached(
                 &bi_options,
                 reversed_pool,
                 entail,
-                lp_basis,
+                lp,
                 &guard.synthesis_budget(),
             ) else {
                 return Err(TimedOut);

@@ -130,7 +130,7 @@ pub(crate) fn prove_cached(
     let start = Instant::now();
     let mut stats = ProveStats::default();
     let (lookups_before, hits_before) = (caches.entail.lookups, caches.entail.hits);
-    let lp_before = caches.lp_basis.stats;
+    let lp_before = caches.lp;
     let guard = BudgetGuard::arm(&config.budget, lookups_before);
     let candidate = match config.check {
         CheckKind::Check1 => check1_cached(ts, config, caches, &mut stats, &guard),
@@ -146,7 +146,7 @@ pub(crate) fn prove_cached(
     };
     stats.entailment_calls = caches.entail.lookups - lookups_before;
     stats.entailment_cache_hits = caches.entail.hits - hits_before;
-    stats.lp = caches.lp_basis.stats.delta_since(&lp_before);
+    stats.lp = caches.lp.delta_since(&lp_before);
     ProofResult { verdict, elapsed: start.elapsed(), config_label: config.label(), stats }
 }
 

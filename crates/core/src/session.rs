@@ -24,7 +24,7 @@ use crate::sweep::{ConfigOutcome, SweepReport};
 use revterm_invgen::{PoolCache, SampleSet};
 use revterm_lang::Program;
 use revterm_safety::SearchBounds;
-use revterm_solver::{BasisCache, EntailmentCache, LpStats};
+use revterm_solver::{EntailmentCache, LpStats};
 use revterm_ts::interp::{Config, Valuation};
 use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
@@ -66,8 +66,8 @@ pub struct ProveStats {
     /// terminal location is provably unreachable).  The memoized result is
     /// bitwise identical to what the probes would have produced.
     pub absint_prunes: u64,
-    /// LP engine counters (solves, pivots, warm-start hits) for the queries
-    /// this call routed through the session's basis cache.
+    /// LP engine counters (solves, pivots, interval fast paths) for the
+    /// entailment queries this call computed through the session memo.
     pub lp: LpStats,
 }
 
@@ -204,10 +204,8 @@ pub(crate) struct Caches {
     /// Global entailment memo (keyed purely on polynomials, so it is shared
     /// across the base, restricted and reversed systems).
     pub entail: EntailmentCache,
-    /// Optimal-basis memo for the revised simplex, keyed on the structural
-    /// shape of each entailment LP so that repeated Houdini queries warm-start
-    /// instead of re-running phase 1 (see `revterm_solver::lp`).
-    pub lp_basis: BasisCache,
+    /// LP work of every entailment query the session computed.
+    pub lp: LpStats,
     /// Atom-pool artifacts of the base system (Check 2's `Ĩ` synthesis).
     pub base_pool: PoolCache,
     /// Candidate resolutions keyed by `(grid, resolution degree, cap)`.
@@ -344,6 +342,13 @@ impl ProverSession {
     /// Running counter totals across every `prove` call of this session.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
+    }
+
+    /// The session's entailment memo: every query its `prove` calls
+    /// discharged through the LP oracle (see
+    /// [`revterm_solver::EntailmentCache::sample`]).
+    pub fn entailment_memo(&self) -> &EntailmentCache {
+        &self.caches.entail
     }
 
     /// The interval/sign abstract interpretation of this session's system,

@@ -24,8 +24,10 @@
 //! * [`oracle`] — the harness: one [`ProverSession`](revterm::ProverSession)
 //!   per program, cross-checked against (1) the sound baseline table and the
 //!   known label, (2) independent certificate validation, (3) the
-//!   abstract-interpretation pre-analysis on vs. off, and (4) the three LP
-//!   engines, which must all be digest-identical.
+//!   abstract-interpretation pre-analysis on vs. off, which must be
+//!   digest-identical, and (4) a sample of the run's own multiplier LPs,
+//!   re-solved by the LP engine and the dense reference, which must agree
+//!   bit for bit.
 //! * [`mod@shrink`] + [`repro`] — greedy structure-preserving minimization of a
 //!   failing program under a caller-supplied predicate, and the `.rt` repro
 //!   file format used by `tests/fuzz_regressions/`.
@@ -45,7 +47,8 @@ pub mod shrink;
 
 pub use generate::{generate, generate_batch, GenConfig, GeneratedProgram, KnownLabel};
 pub use oracle::{
-    default_portfolio, differential, DiffOptions, DiffReport, FailureKind, OracleFailure,
+    default_portfolio, differential, lp_differential, sample_lps, DiffOptions, DiffReport,
+    FailureKind, OracleFailure,
 };
 pub use repro::{load_dir, parse_repro, render_repro, ReproCase, ReproError, REPRO_MAGIC};
 pub use shrink::{normalize, shrink};

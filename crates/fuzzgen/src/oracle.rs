@@ -15,11 +15,14 @@
 //!    its entailment fast path are sound pruning only, so the
 //!    [`outcome_digest`] must be bitwise identical with both halves
 //!    disabled; divergence is [`FailureKind::DigestDivergence`].
-//! 4. **The three LP engines** — revised / sparse-tableau / dense simplex
-//!    must produce digest-identical outcomes.
+//! 4. **The LP engine vs. the dense reference** — a deterministic sample of
+//!    the multiplier LPs the primary run issued ([`sample_lps`]) is re-solved
+//!    with [`LpProblem::solve`] and [`LpProblem::solve_dense`], which must
+//!    agree bit for bit ([`lp_differential`]); a disagreement is a
+//!    [`FailureKind::DigestDivergence`].
 //!
-//! All axes run on **one reused session** (the primary portfolio warms it,
-//! the differential re-runs hit its caches): the sessioned-equals-fresh
+//! The absint axis re-runs on **the same session** (the primary portfolio
+//! warms it, the re-run hits its caches): the sessioned-equals-fresh
 //! contract means warm caches cannot change a verdict, so session reuse is
 //! both the realistic streaming workload and extra coverage of cache purity.
 //!
@@ -38,7 +41,7 @@ use revterm_baselines::{
 };
 use revterm_invgen::TemplateParams;
 use revterm_lang::Program;
-use revterm_solver::{EntailmentOptions, LpEngine};
+use revterm_solver::{multiplier_lp, EntailmentOptions, LpProblem, LpResult};
 use std::fmt;
 
 /// What went wrong for one program.
@@ -48,7 +51,8 @@ pub enum FailureKind {
     VerdictMismatch,
     /// A claimed non-termination verdict has no validating certificate.
     InvalidCertificate,
-    /// An internal differential axis produced a different outcome digest.
+    /// An internal differential axis disagreed: a different outcome digest
+    /// (absint on/off) or a different answer on a re-solved LP.
     DigestDivergence,
 }
 
@@ -93,7 +97,9 @@ pub struct DiffOptions {
     pub run_baselines: bool,
     /// Re-run the portfolio with the pre-analysis off (oracle 3).
     pub absint_axis: bool,
-    /// Re-run the portfolio under the two tableau LP engines (oracle 4).
+    /// Re-solve a deterministic sample of the multiplier LPs the primary run
+    /// issued with both the engine and the dense reference (oracle 4; see
+    /// [`sample_lps`]).
     pub lp_axis: bool,
     /// Fault injection: flip the primary verdict before cross-checking.
     /// Test-only — a healthy harness must catch the flip.
@@ -164,6 +170,8 @@ pub struct DiffReport {
     pub digest: u64,
     /// Baseline verdicts as `(name, verdict)` pairs (empty when disabled).
     pub baseline_verdicts: Vec<(String, BaselineVerdict)>,
+    /// Multiplier LPs re-solved by the LP-level check (0 when disabled).
+    pub lps_checked: usize,
     /// Every oracle failure (empty = the program passed).
     pub failures: Vec<OracleFailure>,
 }
@@ -191,6 +199,12 @@ pub fn differential(
     let primary = session.prove_first(&opts.portfolio);
     let digest = outcome_digest(&primary, &ts);
     let mut failures = Vec::new();
+
+    // Oracle 4: the LPs come from the primary run alone, so they are sampled
+    // before the absint re-run adds queries to the memo. A cut-short run
+    // still issued real LPs, so timeouts are checked too.
+    let lps = if opts.lp_axis { sample_lps(&session) } else { Vec::new() };
+    failures.extend(lp_differential(&lps, LpProblem::solve_dense));
 
     // Oracle 2: certificate validation, independent of the session caches.
     if let Some(cert) = primary.certificate() {
@@ -261,10 +275,10 @@ pub fn differential(
         });
     }
 
-    // Oracles 3 and 4: digest-identical outcomes across the internal axes,
-    // re-run on the same (now warm) session. A timed-out run has no
-    // canonical outcome (the cut point depends on the axis), so comparisons
-    // involving a timeout on either side are skipped.
+    // Oracle 3: digest-identical outcomes with the pre-analysis off, re-run
+    // on the same (now warm) session. A timed-out run has no canonical
+    // outcome (the cut point depends on the axis), so comparisons involving
+    // a timeout on either side are skipped.
     if opts.absint_axis && !primary.timed_out() {
         let configs: Vec<ProverConfig> = opts
             .portfolio
@@ -285,36 +299,59 @@ pub fn differential(
             });
         }
     }
-    if opts.lp_axis && !primary.timed_out() {
-        for engine in [LpEngine::SparseTableau, LpEngine::Dense] {
-            let configs: Vec<ProverConfig> = opts
-                .portfolio
-                .iter()
-                .map(|c| {
-                    let mut alt = c.clone();
-                    alt.entailment.lp_engine = engine;
-                    alt
-                })
-                .collect();
-            let alt = session.prove_first(&configs);
-            let alt_digest = outcome_digest(&alt, &ts);
-            if !alt.timed_out() && alt_digest != digest {
-                failures.push(OracleFailure {
-                    kind: FailureKind::DigestDivergence,
-                    detail: format!("lp {engine:?}: {digest:016x} vs {alt_digest:016x}"),
-                });
-            }
-        }
-    }
-
     Ok(DiffReport {
         proved_nontermination: primary.is_non_terminating(),
         timed_out: primary.timed_out(),
         config_label: primary.config_label,
         digest,
         baseline_verdicts,
+        lps_checked: lps.len(),
         failures,
     })
+}
+
+/// How many memoized entailment queries [`sample_lps`] takes per program; a
+/// fixed bound keeps the dense re-solves a bounded cost per program.
+const LP_SAMPLE_QUERIES: usize = 16;
+
+/// The multiplier LPs behind a deterministic sample of the session's
+/// memoized entailment queries ([`revterm_solver::EntailmentCache::sample`]),
+/// rebuilt with [`multiplier_lp`] — the constructor the oracle itself uses —
+/// so each is exactly an LP the session solved. A query answered without an
+/// LP contributes none; an entailment query whose LP found no certificate
+/// also contributes the unsat-fallback LP it went on to solve.
+pub fn sample_lps(session: &ProverSession) -> Vec<LpProblem> {
+    let mut lps = Vec::new();
+    for q in session.entailment_memo().sample(LP_SAMPLE_QUERIES) {
+        let Some(lp) = multiplier_lp(q.premises, q.conclusion, q.opts) else { continue };
+        let fell_back =
+            q.conclusion.is_some() && q.opts.use_unsat_fallback && !lp.solve().is_feasible();
+        lps.push(lp);
+        if fell_back {
+            lps.extend(multiplier_lp(q.premises, None, q.opts));
+        }
+    }
+    lps
+}
+
+/// Oracle 4: solves every LP with [`LpProblem::solve`] and with `reference`
+/// and reports each LP on which the two results are not bitwise equal.
+/// [`differential`] passes [`LpProblem::solve_dense`].
+pub fn lp_differential(
+    lps: &[LpProblem],
+    reference: impl Fn(&LpProblem) -> LpResult,
+) -> Vec<OracleFailure> {
+    lps.iter()
+        .enumerate()
+        .filter(|(_, lp)| lp.solve() != reference(lp))
+        .map(|(i, lp)| OracleFailure {
+            kind: FailureKind::DigestDivergence,
+            detail: format!(
+                "lp engine vs reference: sampled LP #{i} ({} rows) diverged",
+                lp.num_constraints()
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use crate::atoms::{candidate_atoms_cached, PoolCache, SampleSet, TemplateParams}
 use crate::verify::{is_inductive, predicate_entails};
 use revterm_absint::{close_premises, PremiseClosure};
 use revterm_poly::Poly;
-use revterm_solver::{BasisCache, EntailmentCache, EntailmentOptions};
+use revterm_solver::{EntailmentCache, EntailmentOptions, LpStats};
 use revterm_ts::{Assertion, Loc, PredicateMap, PropPredicate, TransitionSystem};
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,29 +96,26 @@ pub fn synthesize_invariant(
         options,
         &mut PoolCache::new(),
         &mut EntailmentCache::new(),
-        &mut BasisCache::new(),
+        &mut LpStats::default(),
     )
 }
 
 /// [`synthesize_invariant`] with the candidate-pool artifacts served from a
-/// [`PoolCache`], every entailment query memoized in an [`EntailmentCache`],
-/// and the underlying LPs warm-started from a [`BasisCache`].
+/// [`PoolCache`] and every entailment query memoized in an
+/// [`EntailmentCache`]; LP work is added to `lp`.
 ///
-/// Produces a bitwise-identical predicate map (all three caches are pure memo
-/// tables — the basis cache can change which optimal vertex an LP reports,
-/// but never the feasibility verdict the entailment layer consumes); the pool
-/// cache must belong to `ts`, while the entailment and basis caches are keyed
-/// purely on polynomials and may be shared across systems.  The
+/// Produces a bitwise-identical predicate map (both caches are pure memo
+/// tables); the pool cache must belong to `ts`, while the entailment cache is
+/// keyed purely on polynomials and may be shared across systems.  The
 /// session-centric prover API threads long-lived caches through here so that
-/// configuration sweeps discharge each recurring consecution obligation once
-/// and skip simplex phase 1 on structurally repeated LPs.
+/// configuration sweeps discharge each recurring consecution obligation once.
 pub fn synthesize_invariant_cached(
     ts: &TransitionSystem,
     samples: &SampleSet,
     options: &SynthesisOptions,
     pool: &mut PoolCache,
     entail: &mut EntailmentCache,
-    lp_basis: &mut BasisCache,
+    lp: &mut LpStats,
 ) -> PredicateMap {
     synthesize_invariant_budgeted(
         ts,
@@ -126,7 +123,7 @@ pub fn synthesize_invariant_cached(
         options,
         pool,
         entail,
-        lp_basis,
+        lp,
         &SynthesisBudget::unlimited(),
     )
     .expect("an unlimited synthesis budget cannot be exhausted")
@@ -145,7 +142,7 @@ pub fn synthesize_invariant_budgeted(
     options: &SynthesisOptions,
     pool: &mut PoolCache,
     entail: &mut EntailmentCache,
-    lp_basis: &mut BasisCache,
+    lp: &mut LpStats,
     budget: &SynthesisBudget,
 ) -> Option<PredicateMap> {
     let mut atom_sets: Vec<Vec<Poly>> = ts
@@ -180,12 +177,12 @@ pub fn synthesize_invariant_budgeted(
             // `implies_false` disjunct below is already known to hold.
             if let Some(cl) = &theta_closure {
                 if cl.entails(atom) || cl.is_contradiction() {
-                    lp_basis.stats.absint_fast_paths += 1;
+                    lp.absint_fast_paths += 1;
                     return true;
                 }
             }
-            entail.entails(&theta, atom, &options.entailment, lp_basis)
-                || entail.implies_false(&theta, &options.entailment, lp_basis)
+            entail.entails(&theta, atom, &options.entailment, lp)
+                || entail.implies_false(&theta, &options.entailment, lp)
         });
     }
 
@@ -215,9 +212,7 @@ pub fn synthesize_invariant_budgeted(
             let mut premise_vec: Vec<Poly> = atom_sets[t.source.0].clone();
             premise_vec.extend(t.relation.atoms().iter().cloned());
             // One shared allocation for the whole atom batch: the entailment
-            // cache compares stored premises by `Arc::ptr_eq` first, and the
-            // LP basis cache keys on the premise structure, so every atom of
-            // this transition after the first warm-starts its LP.
+            // cache compares stored premises by `Arc::ptr_eq` first.
             let premises: Arc<[Poly]> = premise_vec.into();
             // One interval closure per transition per sweep serves the whole
             // atom batch of this target.
@@ -228,7 +223,7 @@ pub fn synthesize_invariant_budgeted(
             // it the `implies_false` veto below would fire (its LP is
             // feasible by the very same derivation).  Skip the batch.
             if closure.as_ref().is_some_and(PremiseClosure::is_contradiction) {
-                lp_basis.stats.absint_fast_paths += 1;
+                lp.absint_fast_paths += 1;
                 continue;
             }
             // If the premises are unsatisfiable nothing needs to be dropped.
@@ -242,14 +237,14 @@ pub fn synthesize_invariant_budgeted(
                         return true;
                     }
                     if closure.as_ref().is_some_and(|cl| cl.entails(primed)) {
-                        lp_basis.stats.absint_fast_paths += 1;
+                        lp.absint_fast_paths += 1;
                         return true;
                     }
                     entail.entails(
                         &premises,
                         primed,
                         &adaptive(&premises, primed, &options.entailment),
-                        lp_basis,
+                        lp,
                     )
                 })
                 .map(|(i, _)| i)
@@ -260,7 +255,7 @@ pub fn synthesize_invariant_budgeted(
                 if entail.implies_false(
                     &premises,
                     &adaptive(&premises, &Poly::one(), &options.entailment),
-                    lp_basis,
+                    lp,
                 ) {
                     continue;
                 }

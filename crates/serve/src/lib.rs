@@ -20,8 +20,8 @@
 //! * [`pool`] — the session pool with checkout/checkin semantics (the pool
 //!   lock is never held while a prove runs);
 //! * [`metrics`] — per-operation counters, a latency histogram and the
-//!   aggregated per-stage prover statistics (LP pivots, warm-start hit
-//!   rates, abstract-interpretation fast paths, cache hits) exposed by the
+//!   aggregated per-stage prover statistics (LP solves and pivots,
+//!   abstract-interpretation fast paths, cache hits) exposed by the
 //!   `metrics` wire operation;
 //! * [`client`] — a small blocking client used by the CLI's `client`
 //!   subcommand, the benches and the tests.

@@ -4,9 +4,9 @@
 //! The `metrics` wire operation serializes all of this (plus the pool
 //! counters, which live in [`crate::pool`]) as one JSON object, so an
 //! operator — or the CI smoke test — can see in a single request whether
-//! the daemon is actually warm: pool hit counts, entailment-cache and LP
-//! warm-start hit rates, abstract-interpretation fast paths, and where the
-//! request latencies fall.
+//! the daemon is actually warm: pool hit counts, entailment-cache hit
+//! counts, LP solves and pivots, abstract-interpretation fast paths, and
+//! where the request latencies fall.
 
 use crate::pool::PoolStats;
 use revterm::api::json::Json;

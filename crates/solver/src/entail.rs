@@ -16,25 +16,17 @@
 //! give a Handelman-style relaxation for polynomial arithmetic.
 //!
 //! The search for multipliers is a pure rational LP feasibility problem and is
-//! discharged by [`crate::LpProblem`].  The LP is built sparsely: it has one
-//! equality row per monomial and one non-negative multiplier column per
-//! premise product, and each row mentions only the products actually
+//! discharged by [`crate::LpProblem::solve`].  The LP is built sparsely: it
+//! has one equality row per monomial and one non-negative multiplier column
+//! per premise product, and each row mentions only the products actually
 //! containing its monomial, so the rows have a handful of nonzeros no matter
-//! how many products the budget generates — the shape the sparse simplex
-//! engines ([`crate::SparseRow`]) are designed around.
+//! how many products the budget generates.  [`multiplier_lp`] exposes that
+//! construction so differential checks can rebuild exactly the LP a query
+//! issued and re-solve it with the dense reference engine.
 //!
-//! # Warm starts across the query stream
-//!
-//! Consecutive queries in a Houdini fixpoint share their premise set: the
-//! loop checks every candidate conclusion atom against the same premises
-//! before it drops anything. The multiplier LPs of such a family share their
-//! entire constraint *matrix* (columns = premise products, rows = monomials)
-//! and differ only in right-hand sides (the conclusion's coefficients), so
-//! the oracle keys each LP by a hash of `(products, monomials)` and lets the
-//! revised simplex warm-start from the last optimal basis stored under that
-//! key in a caller-owned [`crate::BasisCache`] — typically skipping phase 1
-//! outright. Engine choice ([`LpEngine`]) and warm starts never change a
-//! verdict or witness; the tableau engines are kept as differential oracles.
+//! Every LP is solved cold, so a query's verdict and witness depend only on
+//! `(premises, conclusion, options)` — never on which queries came before.
+//! That is what makes the [`EntailmentCache`] memo sound.
 //!
 //! ```
 //! use revterm_poly::{Poly, Var};
@@ -51,31 +43,10 @@
 //! assert_eq!(witness, vec![revterm_num::rat(0), revterm_num::rat(3)]);
 //! ```
 
-use crate::lp::{BasisCache, LpProblem, Rel, VarKind};
+use crate::lp::{LpProblem, LpStats, Rel, VarKind};
 use revterm_num::Rat;
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use std::sync::Arc;
-
-/// Which simplex engine discharges the multiplier LPs.
-///
-/// All three engines return bitwise-identical verdicts and witnesses on
-/// cold solves (same Bland's-rule pivot sequence over exact rationals); the
-/// tableau engines exist as differential oracles for the default, and the
-/// `num_profile` bench bin re-proves the three-way agreement on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LpEngine {
-    /// The revised simplex with the eta-file basis factorization
-    /// ([`LpProblem::solve_revised`]) — the only engine with warm starts,
-    /// and the default.
-    #[default]
-    Revised,
-    /// The sparse tableau ([`LpProblem::solve`]), kept as a differential
-    /// oracle.
-    SparseTableau,
-    /// The dense reference tableau ([`LpProblem::solve_dense`]), the second
-    /// differential oracle.
-    Dense,
-}
 
 /// Options controlling the entailment search.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -89,10 +60,6 @@ pub struct EntailmentOptions {
     /// Also attempt to show that the premises are unsatisfiable over the
     /// reals (in which case any conclusion is entailed).
     pub use_unsat_fallback: bool,
-    /// Which simplex engine discharges the multiplier LPs. Verdicts and
-    /// witnesses do not depend on the choice; only [`LpEngine::Revised`]
-    /// can exploit a [`BasisCache`] for warm starts.
-    pub lp_engine: LpEngine,
     /// Allow callers to answer all-linear entailment queries by interval
     /// closure of the premises (the `revterm_absint` fast path) instead of
     /// building an LP.  The fast path only ever claims entailments that
@@ -108,7 +75,6 @@ impl Default for EntailmentOptions {
             max_product_size: 2,
             max_product_degree: 4,
             use_unsat_fallback: true,
-            lp_engine: LpEngine::Revised,
             interval_fast_path: true,
         }
     }
@@ -161,44 +127,14 @@ fn products(premises: &[Poly], opts: &EntailmentOptions) -> Vec<Poly> {
     out
 }
 
-/// Structural key of a multiplier LP for warm-start purposes.
+/// The multiplier LP asking for a non-negative combination of
+/// `product_list` equal to `target`: multiplier `λ_j` is the non-negative LP variable
+/// `Var(j)`.
 ///
-/// The constraint *matrix* of the LP built by [`combination_witness`] is a
-/// pure function of the product list (one column per product) and the
-/// monomial row set — the conclusion only contributes the constant parts,
-/// i.e. the right-hand sides. Hashing `(products, monomials)` therefore
-/// groups exactly the LPs that share columns and differ in few rows, which
-/// is what makes a stored basis worth re-factorizing: inside one Houdini
-/// fixpoint iteration, every conclusion atom checked against the same
-/// premise set lands on the same key.
-fn structural_key(product_list: &[Poly], monomials: &[Monomial]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    // The key material is a flat word stream — packed monomial keys and
-    // small-tier rationals — so FNV's byte-fold loop beats SipHash's block
-    // permutation here, and the workspace digests already standardize on it.
-    let mut hasher = revterm_num::Fnv64::new();
-    product_list.hash(&mut hasher);
-    monomials.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Searches for a non-negative combination of `products` equal to `target`.
-/// Returns the multipliers (aligned with `products`) if one exists.
-///
-/// The LP has one row per monomial occurring anywhere and one non-negative
-/// multiplier column per product; a row's nonzeros are exactly the products
-/// containing that monomial, so the constraint expressions stay sparse and
-/// feed the sparse simplex engines without ever densifying. With a
-/// [`BasisCache`] and the revised engine, the LP is keyed by
-/// [`structural_key`] and warm-started from the last optimal basis of its
-/// structural family.
-fn combination_witness(
-    product_list: &[Poly],
-    target: &Poly,
-    opts: &EntailmentOptions,
-    lp_cache: Option<&mut BasisCache>,
-) -> Option<Vec<Rat>> {
-    // Multiplier variables λ_j are LP variables Var(j).
+/// The LP has one row per monomial occurring anywhere and one column per
+/// product; a row's nonzeros are exactly the products containing that
+/// monomial, so the constraint expressions stay sparse.
+fn combination_lp(product_list: &[Poly], target: &Poly) -> LpProblem {
     let mut lp = LpProblem::new();
     for j in 0..product_list.len() {
         lp.set_var_kind(Var(j as u32), VarKind::NonNegative);
@@ -227,15 +163,42 @@ fn combination_witness(
     for expr in rows {
         lp.add_constraint(expr, Rel::Eq);
     }
-    let result = match opts.lp_engine {
-        LpEngine::SparseTableau => lp.solve(),
-        LpEngine::Dense => lp.solve_dense(),
-        LpEngine::Revised => match lp_cache {
-            Some(cache) => lp.solve_revised_warm(structural_key(product_list, &monomials), cache),
-            None => lp.solve_revised(),
-        },
-    };
+    lp
+}
+
+/// Searches for a non-negative combination of `product_list` equal to
+/// `target` and returns the multipliers (aligned with `product_list`) if
+/// one exists.
+fn combination_witness(
+    product_list: &[Poly],
+    target: &Poly,
+    stats: &mut LpStats,
+) -> Option<Vec<Rat>> {
+    let result = combination_lp(product_list, target).solve_counted(stats);
     result.solution().map(|sol| (0..product_list.len()).map(|j| sol.value(Var(j as u32))).collect())
+}
+
+/// The multiplier LP that the oracle solves first for one query:
+/// `Some(conclusion)` is an [`entails`] query, `None` an [`implies_false`]
+/// query (target `-1`). Returns `None` when the oracle answers the query
+/// without an LP (a non-negative constant conclusion, or a premise that is a
+/// negative constant).
+///
+/// When an [`entails`] query's LP is infeasible and
+/// [`EntailmentOptions::use_unsat_fallback`] is set, the oracle goes on to
+/// solve the [`implies_false`] LP of the same premises.
+pub fn multiplier_lp(
+    premises: &[Poly],
+    conclusion: Option<&Poly>,
+    opts: &EntailmentOptions,
+) -> Option<LpProblem> {
+    let target = match conclusion {
+        Some(p) if p.as_constant().is_some_and(|c| !c.is_negative()) => return None,
+        Some(p) => p.clone(),
+        None if has_negative_constant(premises) => return None,
+        None => Poly::constant_i64(-1),
+    };
+    Some(combination_lp(&products(premises, opts), &target))
 }
 
 /// Checks whether the premises entail the conclusion (`∀x. ⋀ g_i ≥ 0 ⟹ p ≥ 0`)
@@ -250,17 +213,15 @@ pub fn entails_with_witness(
     conclusion: &Poly,
     opts: &EntailmentOptions,
 ) -> Option<Vec<Rat>> {
-    entails_with_witness_impl(premises, conclusion, opts, None)
+    entails_with_witness_impl(premises, conclusion, opts, &mut LpStats::default())
 }
 
-/// [`entails_with_witness`] with an optional [`BasisCache`] for LP warm
-/// starts (used by [`EntailmentCache`]; certificate re-validation sticks to
-/// the cache-free entry points so it stays independent of session state).
+/// [`entails_with_witness`], adding the LP work to `stats`.
 fn entails_with_witness_impl(
     premises: &[Poly],
     conclusion: &Poly,
     opts: &EntailmentOptions,
-    mut lp_cache: Option<&mut BasisCache>,
+    stats: &mut LpStats,
 ) -> Option<Vec<Rat>> {
     // Trivial case: the conclusion is a non-negative constant.
     if let Some(c) = conclusion.as_constant() {
@@ -269,12 +230,10 @@ fn entails_with_witness_impl(
         }
     }
     let product_list = products(premises, opts);
-    if let Some(witness) =
-        combination_witness(&product_list, conclusion, opts, lp_cache.as_deref_mut())
-    {
+    if let Some(witness) = combination_witness(&product_list, conclusion, stats) {
         return Some(witness);
     }
-    if opts.use_unsat_fallback && implies_false_impl(premises, opts, lp_cache) {
+    if opts.use_unsat_fallback && implies_false_impl(premises, opts, stats) {
         return Some(Vec::new());
     }
     None
@@ -292,26 +251,21 @@ pub fn entails(premises: &[Poly], conclusion: &Poly, opts: &EntailmentOptions) -
 /// the contradiction `-1 ≥ 0` as a non-negative combination of premise
 /// products.
 pub fn implies_false(premises: &[Poly], opts: &EntailmentOptions) -> bool {
-    implies_false_impl(premises, opts, None)
+    implies_false_impl(premises, opts, &mut LpStats::default())
 }
 
-/// [`implies_false`] with an optional [`BasisCache`] for LP warm starts.
-/// The `-1 ≥ 0` query shares its structural key with the entailment queries
-/// over the same premise products (the conclusion only shifts right-hand
-/// sides), so it warm-starts from their bases and vice versa.
-fn implies_false_impl(
-    premises: &[Poly],
-    opts: &EntailmentOptions,
-    lp_cache: Option<&mut BasisCache>,
-) -> bool {
-    if premises.iter().any(|p| match p.as_constant() {
-        Some(c) => c.is_negative(),
-        None => false,
-    }) {
+/// `true` iff some premise is a negative constant (syntactically false).
+fn has_negative_constant(premises: &[Poly]) -> bool {
+    premises.iter().any(|p| p.as_constant().is_some_and(|c| c.is_negative()))
+}
+
+/// [`implies_false`], adding the LP work to `stats`.
+fn implies_false_impl(premises: &[Poly], opts: &EntailmentOptions, stats: &mut LpStats) -> bool {
+    if has_negative_constant(premises) {
         return true;
     }
     let product_list = products(premises, opts);
-    combination_witness(&product_list, &Poly::constant_i64(-1), opts, lp_cache).is_some()
+    combination_witness(&product_list, &Poly::constant_i64(-1), stats).is_some()
 }
 
 /// A memo table for the entailment oracle, reusable across many queries on
@@ -331,9 +285,8 @@ fn implies_false_impl(
 /// instead of cloning the whole premise vector per entry.
 ///
 /// The cache also keeps hit/lookup counters so callers (the session-centric
-/// prover API) can report cache effectiveness. Misses compute through a
-/// caller-supplied [`BasisCache`] so the underlying LPs warm-start across
-/// the query stream.
+/// prover API) can report cache effectiveness, and misses add their LP work
+/// to a caller-supplied [`LpStats`].
 #[derive(Debug, Clone, Default)]
 pub struct EntailmentCache {
     /// Buckets keyed by the hash of the *borrowed* query, so that cache hits
@@ -345,6 +298,17 @@ pub struct EntailmentCache {
     pub hits: u64,
     /// Total number of queries routed through the cache.
     pub lookups: u64,
+}
+
+/// One query held by an [`EntailmentCache`] (see [`EntailmentCache::sample`]).
+#[derive(Debug, Clone, Copy)]
+pub struct MemoizedQuery<'a> {
+    /// The premises, in call order.
+    pub premises: &'a [Poly],
+    /// The conclusion; `None` for an [`implies_false`] query.
+    pub conclusion: Option<&'a Poly>,
+    /// The options the query ran under.
+    pub opts: &'a EntailmentOptions,
 }
 
 /// Memo key: the premises in call order, the conclusion (`None` encodes an
@@ -417,28 +381,47 @@ impl EntailmentCache {
         answer
     }
 
-    /// Memoized [`entails`]; misses discharge their LPs through `lp` so the
-    /// underlying multiplier problems warm-start across the query stream.
+    /// Memoized [`entails`]; misses add their LP work to `lp`.
     pub fn entails(
         &mut self,
         premises: &Arc<[Poly]>,
         conclusion: &Poly,
         opts: &EntailmentOptions,
-        lp: &mut BasisCache,
+        lp: &mut LpStats,
     ) -> bool {
         self.lookup_or(premises, Some(conclusion), opts, || {
-            entails_with_witness_impl(premises, conclusion, opts, Some(lp)).is_some()
+            entails_with_witness_impl(premises, conclusion, opts, lp).is_some()
         })
     }
 
-    /// Memoized [`implies_false`]; misses discharge their LPs through `lp`.
+    /// Memoized [`implies_false`]; misses add their LP work to `lp`.
     pub fn implies_false(
         &mut self,
         premises: &Arc<[Poly]>,
         opts: &EntailmentOptions,
-        lp: &mut BasisCache,
+        lp: &mut LpStats,
     ) -> bool {
-        self.lookup_or(premises, None, opts, || implies_false_impl(premises, opts, Some(lp)))
+        self.lookup_or(premises, None, opts, || implies_false_impl(premises, opts, lp))
+    }
+
+    /// A deterministic sample of at most `k` memoized queries: the ones with
+    /// the smallest query hashes, in hash order. The hash is FNV over the
+    /// query itself, so the sample depends only on which queries were
+    /// memoized — not on the process or (barring a hash collision) on the
+    /// order the queries arrived in.
+    pub fn sample(&self, k: usize) -> Vec<MemoizedQuery<'_>> {
+        let mut hashes: Vec<u64> = self.map.keys().copied().collect();
+        hashes.sort_unstable();
+        hashes
+            .iter()
+            .flat_map(|h| &self.map[h])
+            .take(k)
+            .map(|(key, _)| MemoizedQuery {
+                premises: &key.premises,
+                conclusion: key.conclusion.as_ref(),
+                opts: &key.opts,
+            })
+            .collect()
     }
 
     /// Number of memoized entries.
@@ -567,7 +550,7 @@ mod tests {
     fn entailment_cache_matches_uncached_oracle_and_counts_hits() {
         let opts = EntailmentOptions::linear();
         let mut cache = EntailmentCache::new();
-        let mut lp = BasisCache::new();
+        let mut lp = LpStats::default();
         let queries: Vec<(Arc<[Poly]>, Poly)> = vec![
             (vec![&x() - &c(3)].into(), &x() - &c(1)),
             (vec![&x() - &c(1)].into(), &x() - &c(3)),
@@ -590,21 +573,16 @@ mod tests {
         assert!(cache.lookups > cache.hits);
         // The LP layer saw only the misses, and counted them.
         assert_eq!(cache.lookups - cache.hits, cache.len() as u64);
-        assert!(lp.stats.solves > 0);
+        assert!(lp.solves > 0);
     }
 
     #[test]
     fn prop_engine_choice_does_not_change_farkas_certificates() {
-        // The engine knob must not change a single verdict or witness:
-        // random feasible/infeasible entailment chains produce bitwise-equal
-        // Farkas certificates through all three simplex engines.
+        // Re-solving a query's multiplier LP with the dense reference must
+        // give the engine's Farkas certificate bit for bit: random
+        // feasible/infeasible entailment chains.
         use crate::SplitMix64;
-        let revised_opts = EntailmentOptions::linear();
-        assert_eq!(revised_opts.lp_engine, LpEngine::Revised);
-        let sparse_opts =
-            EntailmentOptions { lp_engine: LpEngine::SparseTableau, ..EntailmentOptions::linear() };
-        let dense_opts =
-            EntailmentOptions { lp_engine: LpEngine::Dense, ..EntailmentOptions::linear() };
+        let opts = EntailmentOptions::linear();
         let mut rng = SplitMix64::new(0x0FA1_2CA5);
         let (mut entailed, mut refuted) = (0, 0);
         for round in 0..40 {
@@ -623,12 +601,15 @@ mod tests {
             let slack = if round % 2 == 0 { rat(1) } else { rat(-1) };
             let bound = &total - &slack;
             let conclusion = &Poly::var(Var(n as u32)) - &Poly::var(Var(0)) - Poly::constant(bound);
-            let via_revised = entails_with_witness(&premises, &conclusion, &revised_opts);
-            let via_sparse = entails_with_witness(&premises, &conclusion, &sparse_opts);
-            let via_dense = entails_with_witness(&premises, &conclusion, &dense_opts);
-            assert_eq!(via_sparse, via_dense, "tableau engines diverged on round {round}");
-            assert_eq!(via_revised, via_dense, "revised engine diverged on round {round}");
-            match via_sparse {
+            let via_engine = entails_with_witness(&premises, &conclusion, &opts);
+            let lp = multiplier_lp(&premises, Some(&conclusion), &opts).expect("an LP is issued");
+            let dense = lp.solve_dense();
+            assert_eq!(lp.solve(), dense, "engines diverged on round {round}");
+            let columns = products(&premises, &opts).len();
+            let via_dense =
+                dense.solution().map(|s| (0..columns).map(|j| s.value(Var(j as u32))).collect());
+            assert_eq!(via_engine, via_dense, "certificates diverged on round {round}");
+            match via_engine {
                 Some(_) => entailed += 1,
                 None => refuted += 1,
             }
@@ -639,13 +620,13 @@ mod tests {
 
     #[test]
     fn prop_warm_started_streams_match_the_cold_oracle() {
-        // A Houdini-shaped stream: one premise set, many conclusion atoms —
-        // every query after the first warm-starts from the stored basis.
-        // Verdicts must match the cold (cache-free) oracle on every atom.
+        // A Houdini-shaped stream through one memo table: one premise set,
+        // many conclusion atoms. Every LP starts cold, so verdicts must match
+        // the uncached oracle on every atom.
         use crate::SplitMix64;
         let opts = EntailmentOptions::linear();
         let mut rng = SplitMix64::new(0x57A6_57A6);
-        let mut lp = BasisCache::new();
+        let mut lp = LpStats::default();
         for _ in 0..12 {
             let n = 2 + rng.next_below(3) as usize;
             let mut premises: Vec<Poly> = Vec::new();
@@ -660,13 +641,48 @@ mod tests {
                 let i = rng.next_below(n as u64) as u32;
                 let b = rng.next_in_range(-4, 4);
                 let conclusion = &Poly::var(Var(i)) - &Poly::constant_i64(b);
-                let warm = cache.entails(&premises, &conclusion, &opts, &mut lp);
+                let memoized = cache.entails(&premises, &conclusion, &opts, &mut lp);
                 let cold = entails(&premises, &conclusion, &opts);
-                assert_eq!(warm, cold, "atom {atom} diverged");
+                assert_eq!(memoized, cold, "atom {atom} diverged");
             }
         }
-        assert!(lp.stats.warm_hits > 0, "the stream produced no LP warm starts");
-        assert_eq!(lp.stats.warm_lookups, lp.stats.solves);
+        assert!(lp.solves > 0);
+        assert_eq!((lp.warm_lookups, lp.warm_hits), (0, 0));
+    }
+
+    #[test]
+    fn multiplier_lp_skips_queries_answered_without_an_lp() {
+        let opts = EntailmentOptions::linear();
+        assert!(multiplier_lp(&[x()], Some(&c(3)), &opts).is_none());
+        assert!(multiplier_lp(&[x(), c(-1)], None, &opts).is_none());
+        // x >= 3 entails x >= 1: the rebuilt LP is feasible in both engines.
+        let lp = multiplier_lp(&[&x() - &c(3)], Some(&(&x() - &c(1))), &opts).unwrap();
+        assert!(lp.solve().is_feasible());
+        assert_eq!(lp.solve(), lp.solve_dense());
+        // x >= 3 and x <= 0 is contradictory: the `-1 >= 0` LP is feasible.
+        let lp = multiplier_lp(&[&x() - &c(3), -x()], None, &opts).unwrap();
+        assert!(lp.solve().is_feasible());
+    }
+
+    #[test]
+    fn memo_sample_does_not_depend_on_arrival_order() {
+        let opts = EntailmentOptions::linear();
+        let queries: Vec<(Arc<[Poly]>, Poly)> =
+            (0..6).map(|k| (vec![&x() - &c(k)].into(), &x() - &c(k + 1))).collect();
+        let sample = |order: &mut dyn Iterator<Item = &(Arc<[Poly]>, Poly)>| {
+            let mut cache = EntailmentCache::new();
+            for (premises, conclusion) in order {
+                cache.entails(premises, conclusion, &opts, &mut LpStats::default());
+            }
+            format!("{:?}", cache.sample(3))
+        };
+        let forward = sample(&mut queries.iter());
+        assert_eq!(forward, sample(&mut queries.iter().rev()));
+        let mut cache = EntailmentCache::new();
+        assert!(cache.sample(3).is_empty());
+        cache.implies_false(&queries[0].0, &opts, &mut LpStats::default());
+        assert_eq!(cache.sample(3).len(), 1);
+        assert!(cache.sample(3)[0].conclusion.is_none());
     }
 
     #[test]

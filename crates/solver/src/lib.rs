@@ -12,7 +12,7 @@
 //!   non-negative multipliers `λ` with `p = λ_0 + Σ_j λ_j · π_j` where the
 //!   `π_j` range over products of the premises up to a degree bound.
 //!
-//! # The exact LP encoding, and why the tableau is sparse
+//! # The exact LP encoding, and why the columns are sparse
 //!
 //! The entailment oracle turns each query into one LP over the multiplier
 //! variables `λ_j`: one **equality row per monomial** occurring in the
@@ -21,27 +21,19 @@
 //! handful of products, so each row has 3–6 nonzeros regardless of how many
 //! hundreds of multiplier columns the product budget generates. All LP data
 //! therefore stays sparse — [`SparseRow`]s are sorted, zero-free
-//! `(column, coefficient)` lists with packed machine-word [`revterm_num::Rat`]
+//! `(index, coefficient)` lists with packed machine-word [`revterm_num::Rat`]
 //! coefficients.
 //!
-//! Three simplex engines share this representation and produce
-//! **bitwise-identical** results on cold solves (they make the same
-//! Bland's-rule choices and exact arithmetic makes every comparison
-//! representation-independent):
+//! There is one LP engine, [`LpProblem::solve`]: a revised simplex that
+//! keeps the basis inverse as an eta-file (product-form) factorization and
+//! starts every solve cold. [`LpProblem::solve_dense`] is a dense tableau
+//! kept only as the reference the engine is differentially tested against;
+//! the two make the same Bland's-rule choices and return **bitwise-identical**
+//! results.
 //!
-//! * [`LpProblem::solve_revised`] — the default: a revised simplex that
-//!   keeps the basis inverse as an eta-file (product-form) factorization
-//!   and supports **warm starts** from a [`BasisCache`], which is what lets
-//!   a Houdini entailment stream skip phase 1 on structurally repeated LPs;
-//! * [`LpProblem::solve`] — the sparse tableau, kept as a differential
-//!   oracle;
-//! * [`LpProblem::solve_dense`] — the dense reference tableau, the second
-//!   differential oracle.
-//!
-//! The [`lp`] module docs describe the lowering to standard form, the eta
-//! file and the warm-start contract; the [`entail`] module docs describe the
-//! positive-combination encoding and the structural keying that drives the
-//! basis cache.
+//! The [`lp`] module docs describe the lowering to standard form and the eta
+//! file; the [`entail`] module docs describe the positive-combination
+//! encoding.
 //!
 //! Both oracles are *sound*: a positive answer comes with an explicit
 //! certificate (a feasible point, a multiplier vector), and every
@@ -70,7 +62,8 @@ pub mod lp;
 mod rng;
 
 pub use entail::{
-    entails, entails_with_witness, implies_false, EntailmentCache, EntailmentOptions, LpEngine,
+    entails, entails_with_witness, implies_false, multiplier_lp, EntailmentCache,
+    EntailmentOptions, MemoizedQuery,
 };
-pub use lp::{BasisCache, LpProblem, LpResult, LpSolution, LpStats, Rel, SparseRow, VarKind};
+pub use lp::{LpProblem, LpResult, LpSolution, LpStats, Rel, SparseRow, VarKind};
 pub use rng::SplitMix64;

@@ -13,26 +13,14 @@
 //! artificial columns banned. Bland's rule (lowest improving column index,
 //! lowest basic variable on ties) guarantees termination.
 //!
-//! # Sparse tableau
+//! # The engine: revised simplex over an eta-file basis
 //!
-//! The rows produced by this workspace's Farkas/Handelman encodings have
-//! 3–6 nonzeros regardless of how many multiplier columns exist, so the
-//! tableau is stored as [`SparseRow`]s — sorted `(column, coefficient)`
-//! nonzero lists — and every simplex step works on nonzeros only: pivoting
-//! merges the sparse pivot row into the sparse target rows, and the
-//! reduced-cost scan accumulates `c_j - c_B^T T_j` by walking the nonzeros
-//! of the rows whose basic variable has non-zero cost instead of scanning
-//! every column of every row. A dense reference implementation is kept as
-//! [`LpProblem::solve_dense`]; the two produce bitwise-identical results
-//! (same pivot sequence — exact arithmetic makes every comparison
-//! representation-independent) and are differentially tested against each
-//! other on random systems.
-//!
-//! # Revised simplex: the eta-file basis factorization
-//!
-//! The default engine, [`LpProblem::solve_revised`], never updates a tableau
-//! at all. It keeps the inverse of the current basis `B` in **product form**:
-//! a list of *etas* — matrices that differ from the identity in one column —
+//! [`LpProblem::solve`] never updates a tableau. It keeps the constraint
+//! matrix column-major as [`SparseRow`]s — sorted `(row, coefficient)`
+//! nonzero lists, since the rows of this workspace's Farkas/Handelman
+//! encodings have 3–6 nonzeros regardless of how many multiplier columns
+//! exist — and the inverse of the current basis `B` in **product form**: a
+//! list of *etas* — matrices that differ from the identity in one column —
 //! with `B⁻¹ = η_k ⋯ η_2 η_1`. A pivot appends one eta (built from the
 //! entering column's FTRAN image) instead of re-eliminating every row, and
 //! the two linear systems simplex needs per iteration are solved by sweeps
@@ -44,29 +32,14 @@
 //!   replaces one entry of the running vector by a dot product with its
 //!   stored column.
 //!
-//! A cold `solve_revised` run prices with the exact reduced costs
-//! `c_j − y·a_j`, which equal the tableau engines' maintained reduced-cost
-//! row entry for entry, so all three engines make the same Bland's-rule
-//! choices and produce **bitwise-identical** results — the three-way
-//! differential oracle enforced by the tests here and by the `num_profile`
-//! bench digests.
-//!
-//! # Warm starts
-//!
-//! The factorization is what makes warm starting cheap: given a previously
-//! optimal basis for a *structurally identical* LP (same columns, a few
-//! changed right-hand sides — exactly what a Houdini entailment stream
-//! produces), [`LpProblem::solve_revised_warm`] re-factorizes the stored
-//! basis into a fresh eta file, recomputes `x_B = B⁻¹b`, and — when that
-//! solution is feasible — skips phase 1 outright, so pure feasibility
-//! problems finish without a single pivot. A singular or infeasible warm
-//! basis falls back to the cold Bland start, so warm starting can never
-//! change a verdict. Stored bases live in a [`BasisCache`] keyed by the
-//! caller (the entailment oracle hashes the product list and monomial rows);
-//! only artificial-free bases are stored, so a key collision is at worst a
-//! wasted re-factorization, never an unsound resurrection of an artificial
-//! column. [`LpStats`] counts solves, pivots, re-factorizations and
-//! warm-start hits for the prover's statistics.
+//! Every solve starts cold from the all-artificial basis and prices with the
+//! exact reduced costs `c_j − y·a_j`. Those equal a tableau's reduced-cost
+//! row entry for entry, so the engine makes exactly the Bland's-rule choices
+//! of the dense reference tableau [`LpProblem::solve_dense`], and the two
+//! return **bitwise-identical** results. That equality is the differential
+//! oracle: the tests here, the fuzz harness's LP-level check and the
+//! `num_profile` bench digests all enforce it. [`LpStats`] counts solves and
+//! pivots for the prover's statistics.
 //!
 //! ```
 //! use revterm_num::rat;
@@ -87,7 +60,6 @@
 
 use revterm_num::Rat;
 use revterm_poly::{LinExpr, Var};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -112,22 +84,18 @@ pub enum VarKind {
     NonNegative,
 }
 
-/// A sparse tableau/constraint row: the nonzero entries of one row of the
-/// simplex tableau, as `(column, coefficient)` pairs.
+/// A sparse vector as `(index, coefficient)` pairs; the engine stores each
+/// constraint-matrix column as one, indexed by row.
 ///
 /// # Invariants
 ///
-/// * entries are sorted by **strictly increasing** column index (no
-///   duplicate columns);
-/// * **no explicit zeros** are stored — a column absent from the list has
+/// * entries are sorted by **strictly increasing** index (no duplicate
+///   indices);
+/// * **no explicit zeros** are stored — an index absent from the list has
 ///   coefficient exactly zero;
 /// * coefficients are canonical [`Rat`]s (reduced, positive denominator),
-///   so machine-word-sized values stay in the packed tier and row kernels
-///   inherit the packed fast paths.
-///
-/// The mutating operations (`scale`, `take`, `eliminate`) preserve the
-/// invariants: scaling by a non-zero rational cannot create zeros, and the
-/// elimination merge drops cancelled entries instead of storing them.
+///   so machine-word-sized values stay in the packed tier and the simplex
+///   kernels inherit the packed fast paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseRow {
     entries: Vec<(u32, Rat)>,
@@ -168,10 +136,9 @@ impl SparseRow {
         row
     }
 
-    /// Appends a nonzero coefficient at a column strictly greater than every
-    /// column already present (the builder fast path for callers that
-    /// iterate sources in column order, e.g. [`LinExpr::nonzeros`]).
-    /// Crate-internal: unlike [`SparseRow::from_entries`] it trusts the
+    /// Appends a nonzero coefficient at an index strictly greater than every
+    /// index already present (the builder fast path for callers that visit
+    /// indices in increasing order). Crate-internal: unlike [`SparseRow::from_entries`] it trusts the
     /// caller with the sorted/no-zeros invariants, checking them only in
     /// debug builds.
     pub(crate) fn push(&mut self, col: u32, coeff: Rat) {
@@ -201,79 +168,6 @@ impl SparseRow {
     /// Iterates over the nonzeros in increasing column order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Rat)> + '_ {
         self.entries.iter().map(|(c, v)| (*c, v))
-    }
-
-    /// Negates every coefficient in place (used by the sign normalisation
-    /// that makes right-hand sides non-negative).
-    pub fn negate(&mut self) {
-        for (_, v) in self.entries.iter_mut() {
-            *v = -std::mem::take(v);
-        }
-    }
-
-    /// Scales every coefficient by a non-zero rational in place.
-    fn scale(&mut self, by: &Rat) {
-        debug_assert!(!by.is_zero(), "scaling a sparse row by zero");
-        for (_, v) in self.entries.iter_mut() {
-            *v *= by;
-        }
-    }
-
-    /// Removes the entry at `col` and returns its coefficient.
-    fn take(&mut self, col: u32) -> Option<Rat> {
-        self.entries
-            .binary_search_by_key(&col, |(c, _)| *c)
-            .ok()
-            .map(|idx| self.entries.remove(idx).1)
-    }
-
-    /// Gaussian elimination step `self -= factor * pivot`, merging the two
-    /// sorted nonzero lists into `scratch` (reused across calls to avoid
-    /// per-row allocation) and swapping the result in. The caller has
-    /// already removed `self`'s entry at the pivot column `col` (its value
-    /// was `factor`, and the pivot row holds exactly `1` there, so the
-    /// result at `col` is exactly zero and the merge skips that column).
-    /// Cancellations are dropped, keeping the no-explicit-zeros invariant.
-    fn eliminate(
-        &mut self,
-        factor: &Rat,
-        pivot: &SparseRow,
-        col: u32,
-        scratch: &mut Vec<(u32, Rat)>,
-    ) {
-        scratch.clear();
-        scratch.reserve(self.entries.len() + pivot.entries.len());
-        let lhs = &mut self.entries;
-        let rhs = &pivot.entries;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lhs.len() || j < rhs.len() {
-            let ci = lhs.get(i).map_or(u32::MAX, |(c, _)| *c);
-            let cj = rhs.get(j).map_or(u32::MAX, |(c, _)| *c);
-            match ci.cmp(&cj) {
-                Ordering::Less => {
-                    scratch.push((ci, std::mem::take(&mut lhs[i].1)));
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    if cj != col {
-                        scratch.push((cj, -(factor * &rhs[j].1)));
-                    }
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    if ci != col {
-                        let w = &lhs[i].1 - &(factor * &rhs[j].1);
-                        if !w.is_zero() {
-                            scratch.push((ci, w));
-                        }
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        std::mem::swap(&mut self.entries, scratch);
-        scratch.clear();
     }
 }
 
@@ -369,8 +263,8 @@ impl fmt::Display for LpProblem {
     }
 }
 
-/// The user-variable → simplex-column mapping shared by the sparse and
-/// dense lowerings: each free variable occupies an adjacent
+/// The user-variable → simplex-column mapping shared by the engine and the
+/// dense reference: each free variable occupies an adjacent
 /// (positive, negative) column pair, each non-negative variable one column.
 struct ColumnMap {
     vars: Vec<Var>,
@@ -393,16 +287,6 @@ impl ColumnMap {
         }
         LpSolution { values, objective }
     }
-}
-
-/// The standard-form lowering shared by the sparse engines: `rows · x = rhs`
-/// with `rhs ≥ 0` over the decision columns (structural columns followed by
-/// slack/surplus columns), *without* the artificial identity block — each
-/// engine appends its own representation of it.
-struct StandardForm {
-    rows: Vec<SparseRow>,
-    rhs: Vec<Rat>,
-    total_decision_cols: usize,
 }
 
 impl LpProblem {
@@ -470,108 +354,85 @@ impl LpProblem {
         Some(cost)
     }
 
-    /// Lowers the constraints to standard form (see [`StandardForm`]).
-    fn standard_form(&self, map: &ColumnMap) -> StandardForm {
+    /// Solves the problem with the revised simplex (see the module docs).
+    ///
+    /// Two-phase Bland's-rule simplex from the all-artificial basis, with
+    /// the basis inverse kept as an eta file. Results are bitwise-identical
+    /// to [`LpProblem::solve_dense`].
+    pub fn solve(&self) -> LpResult {
+        self.solve_counted(&mut LpStats::default())
+    }
+
+    /// [`LpProblem::solve`], adding its solve and pivots to `stats`.
+    pub(crate) fn solve_counted(&self, stats: &mut LpStats) -> LpResult {
+        let map = self.column_map();
         let m = self.constraints.len();
-        // Build sparse rows a·x = b with slack/surplus columns appended.
-        // Structural columns come in variable order and slack/artificial
-        // columns are appended with strictly larger indices, so every push
-        // below is in increasing column order.
-        let mut rows: Vec<SparseRow> = Vec::with_capacity(m);
+        // Standard form `A·x = b` with `b ≥ 0`, stored column-major: the
+        // engine works against original columns, never updated rows.
+        // Structural columns come first, then one slack/surplus column per
+        // inequality in constraint order, then the identity block of
+        // artificials. A row whose right-hand side would be negative is
+        // negated. The outer loop runs in row order, so each column
+        // receives its entries sorted by row.
+        let num_slack = self.constraints.iter().filter(|(_, rel)| *rel != Rel::Eq).count();
+        let total_decision_cols = map.structural_cols + num_slack;
+        let total_cols = total_decision_cols + m;
+        let mut cols: Vec<SparseRow> = vec![SparseRow::new(); total_cols];
         let mut rhs: Vec<Rat> = Vec::with_capacity(m);
-        let mut slack_specs: Vec<(usize, Rat)> = Vec::new(); // (row, coefficient)
+        let mut next_slack = map.structural_cols;
         for (i, (expr, rel)) in self.constraints.iter().enumerate() {
-            let mut row = SparseRow::with_capacity(2 * expr.num_nonzeros() + 2);
+            let row = i as u32;
+            let b = -expr.constant_part().clone();
+            let flip = b.is_negative();
+            let signed = |c: Rat| if flip { -c } else { c };
             for (v, c) in expr.nonzeros() {
-                row.push(map.col_of_pos[&v] as u32, c.clone());
+                cols[map.col_of_pos[&v]].push(row, signed(c.clone()));
                 if let Some(&neg) = map.col_of_neg.get(&v) {
-                    row.push(neg as u32, -c.clone());
+                    cols[neg].push(row, signed(-c.clone()));
                 }
             }
-            rows.push(row);
-            rhs.push(-expr.constant_part().clone());
             let slack = match rel {
                 Rel::Eq => None,
                 Rel::Ge => Some(-Rat::one()),
                 Rel::Le => Some(Rat::one()),
             };
             if let Some(c) = slack {
-                slack_specs.push((i, c));
+                cols[next_slack].push(row, signed(c));
+                next_slack += 1;
             }
+            cols[total_decision_cols + i].push(row, Rat::one());
+            rhs.push(if flip { -b } else { b });
         }
-        let num_slack = slack_specs.len();
-        for (k, (row_idx, coeff)) in slack_specs.into_iter().enumerate() {
-            rows[row_idx].push((map.structural_cols + k) as u32, coeff);
-        }
-        let total_decision_cols = map.structural_cols + num_slack;
-        // Normalise signs so that rhs >= 0.
-        for i in 0..m {
-            if rhs[i].is_negative() {
-                rhs[i] = -std::mem::take(&mut rhs[i]);
-                rows[i].negate();
-            }
-        }
-        StandardForm { rows, rhs, total_decision_cols }
-    }
 
-    /// Solves the problem with the sparse tableau simplex engine.
-    ///
-    /// The tableau rows are [`SparseRow`]s built directly from the
-    /// constraints' [`LinExpr::nonzeros`] views — the dense coefficient
-    /// matrix is never materialised. Produces results bitwise-identical to
-    /// [`LpProblem::solve_dense`] and [`LpProblem::solve_revised`].
-    pub fn solve(&self) -> LpResult {
-        let map = self.column_map();
-        let StandardForm { mut rows, mut rhs, total_decision_cols } = self.standard_form(&map);
-        let m = rows.len();
-        // Append artificial columns (one per row) to get an initial basis.
-        for (i, row) in rows.iter_mut().enumerate() {
-            row.push((total_decision_cols + i) as u32, Rat::one());
-        }
-        let total_cols = total_decision_cols + m;
-        let mut basis: Vec<usize> = (0..m).map(|i| total_decision_cols + i).collect();
-
+        stats.solves += 1;
+        let mut engine = RevisedSimplex::new(&cols, rhs, total_decision_cols);
         // Phase 1: minimise the sum of artificial variables.
         let phase1_cost: Vec<Rat> = (0..total_cols)
             .map(|j| if j >= total_decision_cols { Rat::one() } else { Rat::zero() })
             .collect();
-        let banned: Vec<bool> = vec![false; total_cols];
-        if !simplex(&mut rows, &mut rhs, &mut basis, &phase1_cost, &banned) {
+        let banned = vec![false; total_cols];
+        if !engine.simplex(&phase1_cost, &banned, stats) {
             // Phase 1 objective is bounded below by 0, so this cannot happen.
             return LpResult::Infeasible;
         }
         let phase1_value: Rat =
-            basis.iter().enumerate().map(|(i, &b)| &phase1_cost[b] * &rhs[i]).sum();
+            engine.basis.iter().enumerate().map(|(i, &b)| &phase1_cost[b] * &engine.x_b[i]).sum();
         if phase1_value.is_positive() {
             return LpResult::Infeasible;
         }
-        // Drive artificial variables out of the basis where possible. The
-        // entries are column-sorted, so the leading entry is the lowest
-        // nonzero column — exactly Bland's choice among decision columns.
-        let mut scratch: Vec<(u32, Rat)> = Vec::new();
-        for i in 0..m {
-            if basis[i] >= total_decision_cols {
-                let j = rows[i]
-                    .iter()
-                    .next()
-                    .map(|(c, _)| c as usize)
-                    .filter(|&c| c < total_decision_cols);
-                if let Some(j) = j {
-                    pivot(&mut rows, &mut rhs, &mut basis, i, j, &mut scratch);
-                }
-            }
-        }
-        // Ban artificial columns from ever entering again.
+        engine.drive_out_artificials(stats);
+        // Ban artificial columns from re-entering.
         let mut banned = vec![false; total_cols];
         banned[total_decision_cols..].fill(true);
 
         // Phase 2 (only if an objective is present).
         let objective_value;
         if let Some(cost) = self.cost_vector(&map, total_cols) {
-            if !simplex(&mut rows, &mut rhs, &mut basis, &cost, &banned) {
+            if !engine.simplex(&cost, &banned, stats) {
                 return LpResult::Unbounded;
             }
-            let basis_value: Rat = basis.iter().enumerate().map(|(i, &b)| &cost[b] * &rhs[i]).sum();
+            let basis_value: Rat =
+                engine.basis.iter().enumerate().map(|(i, &b)| &cost[b] * &engine.x_b[i]).sum();
             objective_value = &basis_value
                 + self.objective.as_ref().expect("cost implies objective").constant_part();
         } else {
@@ -580,20 +441,19 @@ impl LpProblem {
 
         // Extract the solution.
         let mut col_values = vec![Rat::zero(); total_cols];
-        for (i, &b) in basis.iter().enumerate() {
-            col_values[b] = rhs[i].clone();
+        for (i, &b) in engine.basis.iter().enumerate() {
+            col_values[b] = engine.x_b[i].clone();
         }
         LpResult::Optimal(map.reconstruct(&col_values, objective_value))
     }
 
     /// Solves the problem with the dense reference simplex.
     ///
-    /// This is the pre-sparse tableau implementation, kept as the oracle for
-    /// differential testing: it must produce **bitwise-identical** results
-    /// to [`LpProblem::solve`] (both engines make the same Bland's-rule
-    /// pivot choices, and exact arithmetic makes every intermediate value
-    /// representation-independent). The `num_profile` bench bin re-checks
-    /// this equivalence on every run via FNV digests of the solutions.
+    /// A plain dense tableau, kept only as the reference that the tests, the
+    /// fuzz harness's LP-level check and the `num_profile` bench bin compare
+    /// [`LpProblem::solve`] against. It must produce **bitwise-identical**
+    /// results: both make the same Bland's-rule pivot choices, and exact
+    /// arithmetic makes every intermediate value representation-independent.
     pub fn solve_dense(&self) -> LpResult {
         let map = self.column_map();
         let m = self.constraints.len();
@@ -696,149 +556,24 @@ impl LpProblem {
         }
         LpResult::Optimal(map.reconstruct(&col_values, objective_value))
     }
-
-    /// Solves the problem with the revised simplex engine (cold start).
-    ///
-    /// Same two-phase Bland's-rule algorithm as [`LpProblem::solve`], but the
-    /// basis inverse is kept as an eta-file factorization (see the module
-    /// docs): each pivot appends one eta instead of re-eliminating the
-    /// tableau, and pricing/ratio vectors come from BTRAN/FTRAN sweeps over
-    /// the etas. Cold runs make exactly the pivot choices of the tableau
-    /// engines, so results are bitwise-identical to [`LpProblem::solve`] and
-    /// [`LpProblem::solve_dense`].
-    pub fn solve_revised(&self) -> LpResult {
-        let mut scratch = BasisCache::new();
-        self.solve_revised_core(None, &mut scratch)
-    }
-
-    /// Solves with the revised engine, warm-starting from (and afterwards
-    /// updating) the basis stored under `key` in `cache`.
-    ///
-    /// On a hit the stored basis is re-factorized against this problem's
-    /// columns; if the factorization is non-singular and the implied basic
-    /// solution is feasible, phase 1 is skipped entirely — pure feasibility
-    /// problems then finish without a single pivot. A missing, singular or
-    /// infeasible warm basis falls back to the cold Bland start, so the
-    /// feasibility verdict (and any optimal objective value) is always the
-    /// one a cold solve would produce. A warm-started solve may however land
-    /// on a *different* optimal vertex than a cold one; callers that need
-    /// bitwise-stable solutions should use [`LpProblem::solve_revised`].
-    pub fn solve_revised_warm(&self, key: u64, cache: &mut BasisCache) -> LpResult {
-        self.solve_revised_core(Some(key), cache)
-    }
-
-    fn solve_revised_core(&self, warm_key: Option<u64>, cache: &mut BasisCache) -> LpResult {
-        let map = self.column_map();
-        let StandardForm { rows, rhs, total_decision_cols } = self.standard_form(&map);
-        let m = rows.len();
-        let total_cols = total_decision_cols + m;
-        // Column-major copy of the constraint matrix: the revised engine
-        // works against original columns, never updated rows. Rows iterate
-        // their nonzeros in column order and the outer loop runs in row
-        // order, so each column receives its entries sorted by row. The
-        // artificial block is the identity.
-        let mut cols: Vec<SparseRow> = vec![SparseRow::new(); total_cols];
-        for (i, row) in rows.iter().enumerate() {
-            for (j, a) in row.iter() {
-                cols[j as usize].push(i as u32, a.clone());
-            }
-        }
-        for i in 0..m {
-            cols[total_decision_cols + i].push(i as u32, Rat::one());
-        }
-
-        cache.stats.solves += 1;
-        let mut engine = RevisedSimplex::new(&cols, &rhs, total_decision_cols);
-
-        let mut warmed = false;
-        if let Some(key) = warm_key {
-            cache.stats.warm_lookups += 1;
-            if let Some(stored) = cache.map.get(&key) {
-                if engine.warm_start(stored) {
-                    cache.stats.warm_hits += 1;
-                    cache.stats.refactorizations += 1;
-                    warmed = true;
-                }
-            }
-        }
-        if !warmed {
-            engine.cold_start();
-            // Phase 1: minimise the sum of artificial variables.
-            let phase1_cost: Vec<Rat> = (0..total_cols)
-                .map(|j| if j >= total_decision_cols { Rat::one() } else { Rat::zero() })
-                .collect();
-            let banned = vec![false; total_cols];
-            if !engine.simplex(&phase1_cost, &banned, &mut cache.stats) {
-                // Phase 1 objective is bounded below by 0, so this cannot happen.
-                return LpResult::Infeasible;
-            }
-            let phase1_value: Rat = engine
-                .basis
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| &phase1_cost[b] * &engine.x_b[i])
-                .sum();
-            if phase1_value.is_positive() {
-                return LpResult::Infeasible;
-            }
-            engine.drive_out_artificials(&mut cache.stats);
-        }
-        // Ban artificial columns from (re-)entering.
-        let mut banned = vec![false; total_cols];
-        banned[total_decision_cols..].fill(true);
-
-        // Phase 2 (only if an objective is present).
-        let objective_value;
-        if let Some(cost) = self.cost_vector(&map, total_cols) {
-            if !engine.simplex(&cost, &banned, &mut cache.stats) {
-                return LpResult::Unbounded;
-            }
-            let basis_value: Rat =
-                engine.basis.iter().enumerate().map(|(i, &b)| &cost[b] * &engine.x_b[i]).sum();
-            objective_value = &basis_value
-                + self.objective.as_ref().expect("cost implies objective").constant_part();
-        } else {
-            objective_value = Rat::zero();
-        }
-
-        // Remember the final basis for the next structurally identical
-        // problem. Only artificial-free bases are stored: re-factorizing a
-        // basis that contains an artificial column against a different
-        // right-hand side could assign that artificial a positive value,
-        // silently relaxing its constraint — rather than guard against that
-        // in the warm path, such (rare, degenerate) bases are not cached.
-        if let Some(key) = warm_key {
-            if engine.basis.iter().all(|&b| b < total_decision_cols) {
-                cache.map.insert(key, engine.basis.iter().map(|&b| b as u32).collect());
-            }
-        }
-
-        // Extract the solution.
-        let mut col_values = vec![Rat::zero(); total_cols];
-        for (i, &b) in engine.basis.iter().enumerate() {
-            col_values[b] = engine.x_b[i].clone();
-        }
-        LpResult::Optimal(map.reconstruct(&col_values, objective_value))
-    }
 }
 
-/// Counters kept by the revised simplex engine, surfaced through the
-/// prover's per-run statistics.
+/// Counters kept by the LP engine, surfaced through the prover's per-run
+/// statistics.
 ///
 /// All counters are monotone; callers snapshot and subtract
 /// ([`LpStats::delta_since`]) to attribute work to one prove call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpStats {
-    /// Solves performed by the revised engine.
+    /// Solves performed.
     pub solves: u64,
     /// Simplex pivots performed (phase 1, artificial drive-out and phase 2).
     pub pivots: u64,
-    /// Basis re-factorizations (one per accepted warm start).
-    pub refactorizations: u64,
-    /// Warm-start lookups ([`LpProblem::solve_revised_warm`] calls).
+    /// Always 0. The engine used to warm-start from cached bases; every
+    /// solve now starts cold. The field stays because outside readers of
+    /// [`LpStats`] (the repository benchmark) still read it.
     pub warm_lookups: u64,
-    /// Warm-start hits: a stored basis re-factorized successfully and its
-    /// basic solution was feasible, so phase 1 was skipped.
+    /// Always 0, for the same reason as [`LpStats::warm_lookups`].
     pub warm_hits: u64,
     /// Entailment queries answered by the abstract-interpretation interval
     /// fast path without building an LP at all (see `revterm_absint`).
@@ -850,9 +585,6 @@ impl LpStats {
     pub fn accumulate(&mut self, other: &LpStats) {
         self.solves += other.solves;
         self.pivots += other.pivots;
-        self.refactorizations += other.refactorizations;
-        self.warm_lookups += other.warm_lookups;
-        self.warm_hits += other.warm_hits;
         self.absint_fast_paths += other.absint_fast_paths;
     }
 
@@ -862,46 +594,9 @@ impl LpStats {
         LpStats {
             solves: self.solves - earlier.solves,
             pivots: self.pivots - earlier.pivots,
-            refactorizations: self.refactorizations - earlier.refactorizations,
-            warm_lookups: self.warm_lookups - earlier.warm_lookups,
-            warm_hits: self.warm_hits - earlier.warm_hits,
             absint_fast_paths: self.absint_fast_paths - earlier.absint_fast_paths,
+            ..LpStats::default()
         }
-    }
-}
-
-/// A cache of optimal simplex bases keyed by LP *structure*, plus the
-/// [`LpStats`] counters of every solve routed through it.
-///
-/// The key is chosen by the caller as a hash of whatever determines the
-/// constraint matrix — the entailment oracle hashes its premise-product list
-/// and monomial row set, under which consecutive Houdini-stream LPs share
-/// columns and differ only in right-hand sides. Keys may collide across
-/// genuinely different problems: [`LpProblem::solve_revised_warm`] validates
-/// the stored basis (dimensions, non-singularity, feasibility) before using
-/// it, so a collision costs at most a wasted re-factorization.
-#[derive(Debug, Clone, Default)]
-pub struct BasisCache {
-    /// Stored optimal bases (decision-column indices, one per row).
-    map: std::collections::HashMap<u64, Vec<u32>>,
-    /// Counters across every solve routed through this cache.
-    pub stats: LpStats,
-}
-
-impl BasisCache {
-    /// Creates an empty cache.
-    pub fn new() -> BasisCache {
-        BasisCache::default()
-    }
-
-    /// Number of stored bases.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` iff no basis has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -921,7 +616,6 @@ struct Eta {
 /// basis, the eta-file factorization of its inverse, and the basic solution.
 struct RevisedSimplex<'a> {
     cols: &'a [SparseRow],
-    rhs: &'a [Rat],
     total_decision_cols: usize,
     m: usize,
     basis: Vec<usize>,
@@ -944,32 +638,15 @@ fn sparse_dot(dense: &[Rat], col: &SparseRow) -> Rat {
 }
 
 impl<'a> RevisedSimplex<'a> {
-    fn new(
-        cols: &'a [SparseRow],
-        rhs: &'a [Rat],
-        total_decision_cols: usize,
-    ) -> RevisedSimplex<'a> {
-        RevisedSimplex {
-            cols,
-            rhs,
-            total_decision_cols,
-            m: rhs.len(),
-            basis: Vec::new(),
-            in_basis: vec![false; cols.len()],
-            etas: Vec::new(),
-            x_b: Vec::new(),
-        }
-    }
-
     /// Installs the all-artificial starting basis (`B = I`, `x_B = b`).
-    fn cold_start(&mut self) {
-        self.etas.clear();
-        self.basis = (0..self.m).map(|i| self.total_decision_cols + i).collect();
-        self.in_basis = vec![false; self.cols.len()];
-        for &b in &self.basis {
-            self.in_basis[b] = true;
+    fn new(cols: &'a [SparseRow], rhs: Vec<Rat>, total_decision_cols: usize) -> RevisedSimplex<'a> {
+        let m = rhs.len();
+        let basis: Vec<usize> = (0..m).map(|i| total_decision_cols + i).collect();
+        let mut in_basis = vec![false; cols.len()];
+        for &b in &basis {
+            in_basis[b] = true;
         }
-        self.x_b = self.rhs.to_vec();
+        RevisedSimplex { cols, total_decision_cols, m, basis, in_basis, etas: Vec::new(), x_b: rhs }
     }
 
     /// FTRAN: applies `B⁻¹` to a dense vector in place. Etas apply in
@@ -1040,8 +717,8 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Bland pricing: the lowest-index improving non-basic column, priced
     /// with exact reduced costs `c_j − y·a_j` where `y = B⁻ᵀ c_B` comes from
-    /// one BTRAN sweep. These equal the tableau engines' maintained
-    /// reduced-cost row, so every engine picks the same entering column.
+    /// one BTRAN sweep. These equal the dense reference tableau's reduced-cost
+    /// row, so both pick the same entering column.
     fn price(&self, cost: &[Rat], banned: &[bool]) -> Option<usize> {
         let mut y: Vec<Rat> = self.basis.iter().map(|&b| cost[b].clone()).collect();
         self.btran(&mut y);
@@ -1057,7 +734,7 @@ impl<'a> RevisedSimplex<'a> {
         None
     }
 
-    /// The tableau engines' ratio test on `w = B⁻¹·a_entering`: lowest ratio
+    /// The dense reference tableau's ratio test on `w = B⁻¹·a_entering`: lowest ratio
     /// `x_B[i] / w[i]` over `w[i] > 0`, ties broken towards the lowest basic
     /// variable index.
     fn ratio_test(&self, w: &[Rat]) -> Option<usize> {
@@ -1115,7 +792,7 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Pivots remaining artificial basic variables out wherever some
     /// decision column has a nonzero in their tableau row — the same
-    /// lowest-column choice as the tableau engines' drive-out (basic
+    /// lowest-column choice as the dense reference's drive-out (basic
     /// decision columns are unit vectors there, with a zero in every other
     /// row, so skipping them here changes nothing).
     fn drive_out_artificials(&mut self, stats: &mut LpStats) {
@@ -1137,191 +814,6 @@ impl<'a> RevisedSimplex<'a> {
             }
         }
     }
-
-    /// Attempts to install `stored` (decision-column indices of a previously
-    /// optimal basis) by re-factorizing it against this problem's columns.
-    /// Returns `false` — leaving the engine ready for a cold start — when
-    /// the stored basis does not fit this problem, is singular, or its basic
-    /// solution is infeasible for this right-hand side.
-    fn warm_start(&mut self, stored: &[u32]) -> bool {
-        if stored.len() != self.m {
-            return false;
-        }
-        // Validate shape first: decision columns only, no duplicates. Keys
-        // can collide across different problems, so a stored basis is
-        // checked, never trusted.
-        let mut seen = vec![false; self.total_decision_cols];
-        for &c in stored {
-            let c = c as usize;
-            if c >= self.total_decision_cols || seen[c] {
-                return false;
-            }
-            seen[c] = true;
-        }
-        // Product-form Gaussian elimination: FTRAN each stored column
-        // through the partial eta file and pivot it at the lowest
-        // still-unpivoted slot with a nonzero entry.
-        self.etas.clear();
-        let mut pivoted = vec![false; self.m];
-        let mut slot_of = vec![0usize; self.m];
-        for (k, &c) in stored.iter().enumerate() {
-            let w = self.ftran_col(c as usize);
-            let Some(slot) = (0..self.m).find(|&i| !pivoted[i] && !w[i].is_zero()) else {
-                self.etas.clear();
-                return false; // singular basis
-            };
-            self.push_eta(slot, &w);
-            pivoted[slot] = true;
-            slot_of[k] = slot;
-        }
-        // The factorization assigned each stored column a slot; install the
-        // basis accordingly and recompute the basic solution.
-        self.basis = vec![0; self.m];
-        for (k, &c) in stored.iter().enumerate() {
-            self.basis[slot_of[k]] = c as usize;
-        }
-        self.in_basis = vec![false; self.cols.len()];
-        for &b in &self.basis {
-            self.in_basis[b] = true;
-        }
-        let mut x_b = self.rhs.to_vec();
-        self.ftran(&mut x_b);
-        if x_b.iter().any(|v| v.is_negative()) {
-            self.etas.clear();
-            return false; // warm basis infeasible for this right-hand side
-        }
-        self.x_b = x_b;
-        true
-    }
-}
-
-/// Runs the sparse simplex method on a tableau that already contains a
-/// feasible basis. Returns `false` if the objective is unbounded below.
-fn simplex(
-    rows: &mut [SparseRow],
-    rhs: &mut [Rat],
-    basis: &mut [usize],
-    cost: &[Rat],
-    banned: &[bool],
-) -> bool {
-    let m = rows.len();
-    let n = cost.len();
-    // Column membership in the basis as a bitmap: the entering-column scan
-    // below runs once per pivot over all n columns, and `basis.contains`
-    // would make it O(n·m) in pure bookkeeping.
-    let mut in_basis = vec![false; n];
-    for &b in basis.iter() {
-        in_basis[b] = true;
-    }
-    // Reduced costs r_j = c_j - Σ_i c_{basis[i]} * rows[i][j], computed once
-    // from the rows whose basic variable has non-zero cost and then
-    // maintained incrementally: a pivot transforms the cost row exactly like
-    // any other tableau row (r' = r - r_entering · scaled pivot row), so each
-    // update walks only the pivot row's nonzeros. The maintained vector is
-    // the exact reduced-cost vector of the current basis — the same values
-    // the dense engine recomputes from scratch — so the two engines make
-    // identical Bland's-rule choices.
-    let mut reduced: Vec<Rat> = cost.to_vec();
-    for i in 0..m {
-        let cb = &cost[basis[i]];
-        if cb.is_zero() {
-            continue;
-        }
-        for (j, a) in rows[i].iter() {
-            reduced[j as usize] -= &(cb * a);
-        }
-    }
-    let mut scratch: Vec<(u32, Rat)> = Vec::new();
-    loop {
-        // Bland's rule: first (lowest-index) improving column.
-        let entering = (0..n).find(|&j| !banned[j] && !in_basis[j] && reduced[j].is_negative());
-        let entering = match entering {
-            Some(j) => j,
-            None => return true, // optimal
-        };
-        // Ratio test.
-        let mut leaving: Option<usize> = None;
-        let mut best_ratio: Option<Rat> = None;
-        for (i, row) in rows.iter().enumerate() {
-            let Some(a) = row.get(entering as u32) else { continue };
-            if !a.is_positive() {
-                continue;
-            }
-            let ratio = &rhs[i] / a;
-            let better = match &best_ratio {
-                None => true,
-                Some(b) => {
-                    ratio < *b
-                        || (ratio == *b
-                            && basis[i] < basis[leaving.expect("leaving set with best_ratio")])
-                }
-            };
-            if better {
-                best_ratio = Some(ratio);
-                leaving = Some(i);
-            }
-        }
-        let leaving = match leaving {
-            Some(i) => i,
-            None => return false, // unbounded
-        };
-        in_basis[basis[leaving]] = false;
-        in_basis[entering] = true;
-        pivot(rows, rhs, basis, leaving, entering, &mut scratch);
-        // Eliminate the entering column from the cost row: taking the factor
-        // zeroes r_entering, which is exactly its post-pivot value (the
-        // scaled pivot row holds 1 there).
-        let factor = std::mem::take(&mut reduced[entering]);
-        for (j, p) in rows[leaving].iter() {
-            if j as usize != entering {
-                reduced[j as usize] -= &(&factor * p);
-            }
-        }
-    }
-}
-
-/// Pivots the sparse tableau so that column `col` becomes basic in row `row`.
-///
-/// The pivot row is scaled in place (nonzeros only); every elimination is a
-/// sorted-merge of the target row with the pivot row, so it touches exactly
-/// the union of their nonzero columns and nothing else.
-fn pivot(
-    rows: &mut [SparseRow],
-    rhs: &mut [Rat],
-    basis: &mut [usize],
-    row: usize,
-    col: usize,
-    scratch: &mut Vec<(u32, Rat)>,
-) {
-    let m = rows.len();
-    let colu = col as u32;
-    let inv = rows[row].get(colu).expect("pivot on zero element").recip();
-    if !inv.is_one() {
-        rows[row].scale(&inv);
-        rhs[row] *= &inv;
-    }
-    for i in 0..m {
-        if i == row {
-            continue;
-        }
-        // Taking the entry zeroes rows[i][col], which is exactly the value
-        // elimination assigns to it (rows[row][col] == 1 after scaling).
-        let factor = match rows[i].take(colu) {
-            Some(f) => f,
-            None => continue,
-        };
-        let (pivot_row, target_row) = if i < row {
-            let (lo, hi) = rows.split_at_mut(row);
-            (&hi[0], &mut lo[i])
-        } else {
-            let (lo, hi) = rows.split_at_mut(i);
-            (&lo[row], &mut hi[0])
-        };
-        target_row.eliminate(&factor, pivot_row, colu, scratch);
-        let delta = &factor * &rhs[row];
-        rhs[i] -= &delta;
-    }
-    basis[row] = col;
 }
 
 /// Runs the dense reference simplex on a tableau that already contains a
@@ -1639,56 +1131,8 @@ mod tests {
         assert!(SparseRow::new().is_empty());
     }
 
-    #[test]
-    fn sparse_row_eliminate_matches_dense_axpy() {
-        let mut rng = SplitMix64::new(0xE11E);
-        for _ in 0..200 {
-            let n = 12u32;
-            let dense_of = |row: &SparseRow| -> Vec<Rat> {
-                let mut out = vec![Rat::zero(); n as usize];
-                for (c, v) in row.iter() {
-                    out[c as usize] = v.clone();
-                }
-                out
-            };
-            let random_row = |rng: &mut SplitMix64, must: u32, at: &Rat| -> SparseRow {
-                let mut entries = vec![(must, at.clone())];
-                for _ in 0..rng.next_below(6) {
-                    let c = rng.next_below(n as u64) as u32;
-                    let v = rng.next_in_range(-4, 4);
-                    if v != 0 && c != must {
-                        entries.push((c, rat(v)));
-                    }
-                }
-                SparseRow::from_entries(entries)
-            };
-            let col = rng.next_below(n as u64) as u32;
-            let pivot_row = random_row(&mut rng, col, &Rat::one());
-            let factor = rat(rng.next_in_range(-3, 3));
-            let mut target = random_row(&mut rng, col, &factor);
-            if factor.is_zero() {
-                continue;
-            }
-            let expect: Vec<Rat> = dense_of(&target)
-                .iter()
-                .zip(dense_of(&pivot_row).iter())
-                .map(|(t, p)| t - &(&factor * p))
-                .collect();
-            let taken = target.take(col).expect("target holds factor at col");
-            assert_eq!(taken, factor);
-            let mut scratch = Vec::new();
-            target.eliminate(&factor, &pivot_row, col, &mut scratch);
-            assert_eq!(dense_of(&target), expect);
-            // Invariants: sorted, no explicit zeros, col cancelled.
-            let cols: Vec<u32> = target.iter().map(|(c, _)| c).collect();
-            assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not strictly ascending");
-            assert!(target.iter().all(|(_, v)| !v.is_zero()));
-            assert_eq!(target.get(col), None);
-        }
-    }
-
     // -----------------------------------------------------------------------
-    // Sparse vs dense differential testing.
+    // Engine vs dense reference differential testing.
     // -----------------------------------------------------------------------
 
     /// Builds a random Farkas-flavoured system: equality/inequality rows of
@@ -1730,21 +1174,18 @@ mod tests {
     }
 
     #[test]
-    fn prop_all_three_engines_agree_on_random_systems() {
-        // The sparse tableau and the cold revised engine must be
-        // indistinguishable from the dense reference on feasible, infeasible
-        // and unbounded instances — not just the verdict but the exact
-        // solution values (all engines make the same Bland's-rule choices).
+    fn prop_revised_and_dense_engines_agree_on_random_systems() {
+        // The engine must be indistinguishable from the dense reference on
+        // feasible, infeasible and unbounded instances — not just the
+        // verdict but the exact solution values (both make the same
+        // Bland's-rule choices).
         let mut rng = SplitMix64::new(0xD1FF_5EED);
         let (mut feasible, mut infeasible) = (0, 0);
         for round in 0..120 {
             let lp = random_lp(&mut rng, round % 2 == 0);
-            let sparse = lp.solve();
-            let dense = lp.solve_dense();
-            let revised = lp.solve_revised();
-            assert_eq!(sparse, dense, "sparse vs dense diverged on:\n{lp}");
-            assert_eq!(revised, dense, "revised vs dense diverged on:\n{lp}");
-            match sparse {
+            let revised = lp.solve();
+            assert_eq!(revised, lp.solve_dense(), "revised vs dense diverged on:\n{lp}");
+            match revised {
                 LpResult::Optimal(_) => feasible += 1,
                 LpResult::Infeasible => infeasible += 1,
                 LpResult::Unbounded => {}
@@ -1755,158 +1196,10 @@ mod tests {
         assert!(infeasible > 10, "generator produced too few infeasible systems");
     }
 
-    // -----------------------------------------------------------------------
-    // Revised engine: warm starts and the basis cache.
-    // -----------------------------------------------------------------------
-
-    /// A Farkas-shaped feasibility problem: non-negative multipliers on
-    /// equality rows, no objective — the shape the warm-start path is built
-    /// for. `rhs` perturbs the right-hand sides without changing structure.
-    fn farkas_like_lp(rhs: [i64; 2]) -> LpProblem {
-        let mut lp = LpProblem::new();
-        lp.set_var_kind(Var(0), VarKind::NonNegative);
-        lp.set_var_kind(Var(1), VarKind::NonNegative);
-        lp.add_constraint(v(0) - v(1) - e(rhs[0]), Rel::Eq);
-        lp.add_constraint(v(0) + v(1) - e(rhs[1]), Rel::Eq);
-        lp
-    }
-
     #[test]
-    fn warm_start_skips_phase_one_on_a_repeated_problem() {
-        let mut cache = BasisCache::new();
-        let lp = farkas_like_lp([0, 2]);
-        let cold = lp.solve_revised_warm(42, &mut cache);
-        assert!(cold.is_feasible());
-        assert_eq!(cache.stats.warm_lookups, 1);
-        assert_eq!(cache.stats.warm_hits, 0);
-        assert_eq!(cache.len(), 1);
-        let pivots_after_cold = cache.stats.pivots;
-        assert!(pivots_after_cold > 0, "cold solve must pivot");
-
-        // Same problem again: the stored basis re-factorizes, its solution
-        // is feasible, and not a single pivot is spent.
-        let warm = lp.solve_revised_warm(42, &mut cache);
-        assert_eq!(warm, cold);
-        assert_eq!(cache.stats.warm_hits, 1);
-        assert_eq!(cache.stats.refactorizations, 1);
-        assert_eq!(cache.stats.pivots, pivots_after_cold);
-        assert_eq!(cache.stats.solves, 2);
-    }
-
-    #[test]
-    fn warm_start_tracks_right_hand_side_changes() {
-        // Same structure, shifted right-hand sides — the Houdini-stream
-        // shape. Every warm answer must equal the cold oracle's verdict.
-        let mut cache = BasisCache::new();
-        for rhs in [[0i64, 2], [1, 3], [-1, 5], [2, 2], [3, 1]] {
-            let lp = farkas_like_lp(rhs);
-            let warm = lp.solve_revised_warm(7, &mut cache);
-            let oracle = lp.solve();
-            assert_eq!(warm.is_feasible(), oracle.is_feasible(), "rhs {rhs:?}");
-            // A feasible warm vertex still satisfies the constraints: both
-            // equality rows hold exactly.
-            if let Some(sol) = warm.solution() {
-                let (x, y) = (sol.value(Var(0)), sol.value(Var(1)));
-                assert_eq!(&x - &y, rat(rhs[0]), "rhs {rhs:?}");
-                assert_eq!(&x + &y, rat(rhs[1]), "rhs {rhs:?}");
-                assert!(!x.is_negative() && !y.is_negative(), "rhs {rhs:?}");
-            }
-        }
-        assert!(cache.stats.warm_hits >= 3, "expected mostly warm hits");
-    }
-
-    #[test]
-    fn infeasible_warm_basis_falls_back_to_cold() {
-        // x - y = 1 over non-negative x, y. The basis {y} factorizes fine
-        // but implies y = -1 < 0, so the warm start must be rejected and the
-        // cold path must still find the answer.
-        let mut lp = LpProblem::new();
-        lp.set_var_kind(Var(0), VarKind::NonNegative);
-        lp.set_var_kind(Var(1), VarKind::NonNegative);
-        lp.add_constraint(v(0) - v(1) - e(1), Rel::Eq);
-        let mut cache = BasisCache::new();
-        cache.map.insert(9, vec![1]); // column of y
-        let result = lp.solve_revised_warm(9, &mut cache);
-        assert_eq!(result, lp.solve());
-        assert!(result.is_feasible());
-        assert_eq!(cache.stats.warm_lookups, 1);
-        assert_eq!(cache.stats.warm_hits, 0);
-        assert_eq!(cache.stats.refactorizations, 0);
-        // The cold solve stored its (artificial-free) final basis in place
-        // of the rejected one, so the next call warm-starts.
-        let again = lp.solve_revised_warm(9, &mut cache);
-        assert_eq!(again, result);
-        assert_eq!(cache.stats.warm_hits, 1);
-    }
-
-    #[test]
-    fn singular_warm_basis_falls_back_to_cold() {
-        // Columns 0 and 1 are linearly dependent (the second row is twice
-        // the first), so the stored basis {0, 1} cannot be factorized.
-        let mut lp = LpProblem::new();
-        lp.set_var_kind(Var(0), VarKind::NonNegative);
-        lp.set_var_kind(Var(1), VarKind::NonNegative);
-        lp.add_constraint(v(0) + v(1) - e(2), Rel::Eq);
-        lp.add_constraint(v(0).scale(&rat(2)) + v(1).scale(&rat(2)) - e(4), Rel::Eq);
-        let mut cache = BasisCache::new();
-        cache.map.insert(3, vec![0, 1]);
-        let result = lp.solve_revised_warm(3, &mut cache);
-        assert_eq!(result, lp.solve());
-        assert!(result.is_feasible());
-        assert_eq!(cache.stats.warm_hits, 0);
-        assert_eq!(cache.stats.refactorizations, 0);
-    }
-
-    #[test]
-    fn mismatched_warm_basis_from_a_key_collision_is_rejected() {
-        // A stored basis from a structurally different problem (wrong
-        // length, out-of-range columns, duplicates) must be rejected by
-        // validation, not trusted.
-        let lp = farkas_like_lp([0, 2]);
-        for bogus in [vec![], vec![0], vec![0, 57], vec![1, 1], vec![0, 1, 2]] {
-            let mut cache = BasisCache::new();
-            cache.map.insert(1, bogus.clone());
-            let result = lp.solve_revised_warm(1, &mut cache);
-            assert_eq!(result, lp.solve(), "stored basis {bogus:?}");
-            assert_eq!(cache.stats.warm_hits, 0, "stored basis {bogus:?}");
-        }
-    }
-
-    #[test]
-    fn warm_start_resumes_phase_two_after_an_objective_change() {
-        // minimise c·(x, y) subject to x + y = 10, x - y <= 2. The optimum
-        // moves between vertices as the cost flips, so a warm start from the
-        // previous optimal basis must re-run phase 2 (a genuine "resume"
-        // with a handful of pivots) and land on the cold optimum.
-        let build = |cost: (i64, i64)| {
-            let mut lp = LpProblem::new();
-            lp.set_var_kind(Var(0), VarKind::NonNegative);
-            lp.set_var_kind(Var(1), VarKind::NonNegative);
-            lp.add_constraint(v(0) + v(1) - e(10), Rel::Eq);
-            lp.add_constraint(v(0) - v(1) - e(2), Rel::Le);
-            lp.set_objective(v(0).scale(&rat(cost.0)) + v(1).scale(&rat(cost.1)));
-            lp
-        };
-        let mut cache = BasisCache::new();
-        for cost in [(2, 3), (3, 2), (2, 3), (5, 1)] {
-            let lp = build(cost);
-            let warm = lp.solve_revised_warm(11, &mut cache);
-            let oracle = lp.solve();
-            let (warm_sol, oracle_sol) =
-                (warm.solution().expect("feasible"), oracle.solution().expect("feasible"));
-            assert_eq!(warm_sol.objective(), oracle_sol.objective(), "cost {cost:?}");
-        }
-        assert!(cache.stats.warm_hits >= 2);
-        // Re-optimisation after a cost flip really pivots from the warm
-        // basis (the two optima are distinct vertices).
-        assert!(cache.stats.pivots > 0);
-    }
-
-    #[test]
-    fn degenerate_pivots_agree_across_engines_and_warm_starts() {
+    fn degenerate_pivots_agree_across_engines() {
         // Redundant constraints force degenerate (zero-ratio) pivots; the
-        // engines must still agree, and warm starting over the degenerate
-        // problem must keep the verdict.
+        // engine must still agree with the dense reference.
         let mut lp = LpProblem::new();
         lp.set_var_kind(Var(0), VarKind::NonNegative);
         for _ in 0..4 {
@@ -1914,94 +1207,35 @@ mod tests {
         }
         lp.add_constraint(v(0) - e(2), Rel::Eq);
         lp.set_objective(v(0));
-        let cold = lp.solve_revised();
-        assert_eq!(cold, lp.solve());
-        assert_eq!(cold, lp.solve_dense());
-        let mut cache = BasisCache::new();
-        let first = lp.solve_revised_warm(5, &mut cache);
-        assert_eq!(first, cold);
-        let second = lp.solve_revised_warm(5, &mut cache);
-        assert_eq!(second.solution().map(|s| s.objective().clone()), Some(rat(2)));
-        // Whether the degenerate optimum's basis was cacheable (artificial-
-        // free) or not, the second run must reproduce the cold answer: a
-        // warm hit resumes from the optimal basis and pivots zero times.
-        assert_eq!(second, cold);
+        let revised = lp.solve();
+        assert_eq!(revised.solution().map(|s| s.objective().clone()), Some(rat(2)));
+        assert_eq!(revised, lp.solve_dense());
     }
 
     #[test]
     fn lp_stats_accumulate_and_delta() {
-        let mut a = LpStats {
-            solves: 3,
-            pivots: 10,
-            refactorizations: 1,
-            warm_lookups: 2,
-            warm_hits: 1,
-            absint_fast_paths: 0,
-        };
+        let mut a = LpStats { solves: 3, pivots: 10, absint_fast_paths: 0, ..LpStats::default() };
         let before = a;
-        a.accumulate(&LpStats {
-            solves: 1,
-            pivots: 4,
-            refactorizations: 1,
-            warm_lookups: 1,
-            warm_hits: 1,
-            absint_fast_paths: 2,
-        });
+        a.accumulate(&LpStats { solves: 1, pivots: 4, absint_fast_paths: 2, ..LpStats::default() });
         assert_eq!(
             a.delta_since(&before),
-            LpStats {
-                solves: 1,
-                pivots: 4,
-                refactorizations: 1,
-                warm_lookups: 1,
-                warm_hits: 1,
-                absint_fast_paths: 2,
-            }
+            LpStats { solves: 1, pivots: 4, absint_fast_paths: 2, ..LpStats::default() }
         );
         assert_eq!(a.solves, 4);
         assert_eq!(a.pivots, 14);
-        assert!(BasisCache::new().is_empty());
     }
 
     #[test]
-    fn prop_warm_started_verdicts_match_cold_on_random_streams() {
-        // Random feasibility systems grouped into structural families: all
-        // members of a family share a key, so later members warm-start from
-        // earlier optima. Verdicts must match the cold tableau oracle
-        // exactly, hits or fallbacks alike.
-        let mut rng = SplitMix64::new(0x000B_A515_CAFE);
-        let mut cache = BasisCache::new();
-        for family in 0..20u64 {
-            let n_vars = 2 + rng.next_below(3) as usize;
-            let n_rows = 2 + rng.next_below(3) as usize;
-            // One structure per family, several right-hand sides.
-            let coeffs: Vec<Vec<i64>> = (0..n_rows)
-                .map(|_| (0..n_vars).map(|_| rng.next_in_range(-3, 3)).collect())
-                .collect();
-            for _ in 0..4 {
-                let mut lp = LpProblem::new();
-                for v in 0..n_vars {
-                    lp.set_var_kind(Var(v as u32), VarKind::NonNegative);
-                }
-                for row in &coeffs {
-                    let mut expr = LinExpr::constant(rat(rng.next_in_range(-4, 4)));
-                    for (v, &c) in row.iter().enumerate() {
-                        if c != 0 {
-                            expr.add_coeff(Var(v as u32), rat(c));
-                        }
-                    }
-                    lp.add_constraint(expr, Rel::Eq);
-                }
-                let warm = lp.solve_revised_warm(family, &mut cache);
-                let oracle = lp.solve();
-                assert_eq!(
-                    warm.is_feasible(),
-                    oracle.is_feasible(),
-                    "family {family} diverged on:\n{lp}"
-                );
-            }
-        }
-        assert!(cache.stats.warm_lookups == 80);
-        assert!(cache.stats.warm_hits > 0, "streams produced no warm hits at all");
+    fn solves_and_pivots_are_counted() {
+        let mut lp = LpProblem::new();
+        lp.set_var_kind(Var(0), VarKind::NonNegative);
+        lp.set_var_kind(Var(1), VarKind::NonNegative);
+        lp.add_constraint(v(0) - v(1), Rel::Eq);
+        lp.add_constraint(v(0) + v(1) - e(2), Rel::Eq);
+        let mut stats = LpStats::default();
+        assert_eq!(lp.solve_counted(&mut stats), lp.solve());
+        assert_eq!(stats.solves, 1);
+        assert!(stats.pivots > 0, "a cold solve from the artificial basis must pivot");
+        assert_eq!((stats.warm_lookups, stats.warm_hits), (0, 0));
     }
 }

@@ -56,12 +56,12 @@ if $run_bench_smoke; then
         | tee target/ci-artifacts/bench-smoke.json
 
     # LP-engine + poly-kernel smoke: num_profile with a small microloop runs
-    # the three simplex engines over the same problems, the flat polynomial
-    # kernels against a BTreeMap reference, the packed-monomial cache-key
-    # hashing loop under a counting allocator, and the degree-1 sweep. It
-    # exits non-zero on any digest divergence, any heap allocation on the
-    # packed hashing path, or a zero warm-start hit rate — the revised-simplex
-    # and packed-monomial acceptance criteria, re-proved on every CI run.
+    # the LP engine and its dense reference tableau over the same problems,
+    # the flat polynomial kernels against a BTreeMap reference, the
+    # packed-monomial cache-key hashing loop under a counting allocator, and
+    # the degree-1 sweep. It exits non-zero on any digest divergence or any
+    # heap allocation on the packed hashing path — the LP-engine and
+    # packed-monomial acceptance criteria, re-proved on every CI run.
     # It also runs the degree-1 sweep with the absint pre-analysis ON and
     # OFF and fails on verdict-digest divergence, on zero absint engagement
     # (no fast paths and no prunes taken), or on any absint path taken while
@@ -83,9 +83,10 @@ if $run_bench_smoke; then
 
     # Fuzz smoke: a fixed-seed batch of 500 generated labelled programs,
     # each cross-checked by the four-oracle differential harness (baseline
-    # claim table, certificate re-validation, absint on/off digests, the
-    # three LP engines). Exits non-zero on any verdict mismatch, validation
-    # failure or digest divergence, or if either known-label family is
+    # claim table, certificate re-validation, absint on/off digests, and a
+    # sample of the run's own multiplier LPs re-solved by the LP engine and
+    # the dense reference). Exits non-zero on any verdict mismatch,
+    # validation failure, digest or LP divergence, or if either known-label family is
     # missing from the batch — failing programs are auto-minimized by the
     # shrinker and embedded in the JSON artifact.
     echo "==> fuzz smoke (fuzz_drive 500)"

@@ -1,13 +1,15 @@
 //! The always-on fuzzing gates: corpus replay, printer/parser round trip,
-//! deadline behaviour on generated programs, and the injected-flip demo that
-//! proves the differential harness catches a lying prover end to end.
+//! deadline behaviour on generated programs, the injected-flip demo that
+//! proves the differential harness catches a lying prover end to end, and
+//! the LP-level check's sampling and fault detection.
 
 use revterm::{outcome_digest, ProverSession};
 use revterm_fuzzgen::{
-    default_portfolio, differential, generate_batch, load_dir, shrink, DiffOptions, FailureKind,
-    GenConfig,
+    default_portfolio, differential, generate_batch, load_dir, lp_differential, sample_lps, shrink,
+    DiffOptions, FailureKind, GenConfig,
 };
 use revterm_lang::{parse_program, pretty_print};
+use revterm_solver::{LpProblem, LpResult};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -125,4 +127,48 @@ fn injected_verdict_flip_is_caught_and_shrinks_to_tiny_repro() {
     // The shrunk program still reproduces, so it would land in the corpus.
     let re = differential(&small, label, &opts).unwrap();
     assert!(re.failures.iter().any(|f| f.kind == FailureKind::VerdictMismatch));
+}
+
+/// The LP-level check (oracle 4) on a corpus program: it samples a non-empty
+/// set of the run's multiplier LPs, picks the same sample on a second run,
+/// finds no divergence against the dense reference, and reports exactly the
+/// LP whose reference answer is injected wrong.
+#[test]
+fn lp_level_check_samples_deterministically_and_catches_a_wrong_answer() {
+    let case = load_dir(&corpus_dir())
+        .expect("corpus loads")
+        .into_iter()
+        .find(|c| c.name == "counter-up-basic")
+        .expect("pinned program present");
+    let ts = revterm_ts::lower(&case.program).expect("corpus programs lower");
+    let sample = || {
+        let mut session = ProverSession::new(ts.clone());
+        session.prove_first(&default_portfolio());
+        sample_lps(&session)
+    };
+    let lps = sample();
+    assert!(!lps.is_empty(), "the primary run issued no sampled LPs");
+    assert_eq!(format!("{lps:?}"), format!("{:?}", sample()), "sample differs between runs");
+    assert!(lp_differential(&lps, LpProblem::solve_dense).is_empty());
+
+    let report = differential(&case.program, case.label, &DiffOptions::default()).unwrap();
+    assert_eq!(report.lps_checked, lps.len());
+    assert!(report.passed(), "{:?}", report.failures);
+
+    // Fault injection: the reference flips its answer on one LP.
+    let victim = lps.len() / 2;
+    let lying_reference = |lp: &LpProblem| {
+        let honest = lp.solve_dense();
+        if !std::ptr::eq(lp, &lps[victim]) {
+            return honest;
+        }
+        match honest {
+            LpResult::Optimal(_) => LpResult::Infeasible,
+            _ => LpResult::Optimal(Default::default()),
+        }
+    };
+    let failures = lp_differential(&lps, lying_reference);
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(failures[0].kind, FailureKind::DigestDivergence);
+    assert!(failures[0].detail.contains(&format!("#{victim} ")), "{}", failures[0].detail);
 }
