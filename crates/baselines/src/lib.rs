@@ -27,10 +27,12 @@
 
 #![warn(missing_docs)]
 
-use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisOptions, TemplateParams};
+use revterm_invgen::{
+    synthesize_invariant, PoolCache, SampleSet, SynthesisBudget, SynthesisOptions, TemplateParams,
+};
 use revterm_poly::Poly;
 use revterm_safety::{find_initial_valuations, ndet_candidate_values, SearchBounds};
-use revterm_solver::{entails, implies_false, EntailmentOptions};
+use revterm_solver::{entails, implies_false, EntailmentCache, EntailmentOptions, LpStats};
 use revterm_ts::graph::cyclic_sccs;
 use revterm_ts::interp::{successors, Config};
 use revterm_ts::{Loc, TransitionSystem};
@@ -182,7 +184,16 @@ impl BaselineProver for QuasiInvariantProver {
                 forced_false: None,
                 max_iterations: 32,
             };
-            let map = synthesize_invariant(ts, &samples, &options);
+            let map = synthesize_invariant(
+                ts,
+                &samples,
+                &options,
+                &mut PoolCache::new(),
+                &mut EntailmentCache::new(),
+                &mut LpStats::default(),
+                &SynthesisBudget::unlimited(),
+            )
+            .expect("an unlimited synthesis budget never fires");
             let exits_blocked = ts.transitions().iter().all(|t| {
                 if !scc_set.contains(&t.source) || scc_set.contains(&t.target) {
                     return true;

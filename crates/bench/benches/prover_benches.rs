@@ -40,7 +40,7 @@ fn main() {
     ] {
         let ts = lower(&parse_program(src).unwrap()).unwrap();
         let stats = time(10, || {
-            let result = revterm::prove(&ts, &ProverConfig::default());
+            let result = ProverSession::new(ts.clone()).prove(&ProverConfig::default());
             assert!(result.is_non_terminating());
         });
         report(name, 10, stats);

@@ -20,8 +20,8 @@
 //!   counting global allocator so the "zero heap allocations on the packed
 //!   path" claim is asserted, not assumed.
 //! * **Degree-1 sweep** — the paper's running example swept over the
-//!   24-cell degree-1 configuration grid: fresh per-configuration `prove`
-//!   calls, and a warm [`revterm::ProverSession`] (mirroring
+//!   24-cell degree-1 configuration grid: a fresh session per
+//!   configuration, and a warm [`revterm::ProverSession`] (mirroring
 //!   `session_vs_fresh`) whose LP counters are reported alongside the
 //!   timings.  The same sessioned sweep then runs again with the
 //!   abstract-interpretation machinery disabled (`absint: false` plus
@@ -45,7 +45,7 @@
 //! cargo run --release -p revterm-bench --bin num_profile [lp_iters]
 //! ```
 
-use revterm::{degree1_sweep, prove, ProverSession};
+use revterm::{degree1_sweep, ProverSession};
 use revterm_num::{rat, Fnv64, Rat};
 use revterm_poly::{LinExpr, Monomial, Poly, Var};
 use revterm_solver::{
@@ -384,14 +384,18 @@ fn main() {
     let ts = bench.transition_system();
     let configs = degree1_sweep();
     let fresh_start = Instant::now();
-    let fresh: Vec<bool> = configs.iter().map(|c| prove(&ts, c).is_non_terminating()).collect();
+    let fresh: Vec<bool> = configs
+        .iter()
+        .map(|c| ProverSession::new(ts.clone()).prove(c).is_non_terminating())
+        .collect();
     let sweep_fresh_secs = fresh_start.elapsed().as_secs_f64();
 
     let mut session = ProverSession::new(ts.clone());
     let session_start = Instant::now();
-    let report = session.sweep(&configs, usize::MAX);
+    let report = session.sweep(&configs, 0, None);
     let sweep_session_secs = session_start.elapsed().as_secs_f64();
-    let sessioned: Vec<bool> = report.outcomes.iter().map(|o| o.proved).collect();
+    let sessioned: Vec<bool> =
+        report.outcomes.iter().map(|o| o.result.is_non_terminating()).collect();
     let lp_stats = session.stats().aggregate.lp;
 
     // The abstract-interpretation pre-analysis: time the fixpoint itself,
@@ -417,9 +421,10 @@ fn main() {
         .collect();
     let mut off_session = ProverSession::new(ts);
     let off_start = Instant::now();
-    let off_report = off_session.sweep(&off_configs, usize::MAX);
+    let off_report = off_session.sweep(&off_configs, 0, None);
     let sweep_absint_off_secs = off_start.elapsed().as_secs_f64();
-    let absint_off: Vec<bool> = off_report.outcomes.iter().map(|o| o.proved).collect();
+    let absint_off: Vec<bool> =
+        off_report.outcomes.iter().map(|o| o.result.is_non_terminating()).collect();
     let off_lp_stats = off_session.stats().aggregate.lp;
     let absint_off_clean =
         off_lp_stats.absint_fast_paths == 0 && off_session.stats().aggregate.absint_prunes == 0;

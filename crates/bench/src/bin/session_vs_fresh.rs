@@ -1,6 +1,6 @@
 //! Measures the speedup of the session-centric prover API: for each selected
 //! benchmark, runs the **degree-1** configuration grid (24 cells) once with
-//! fresh per-configuration `prove` calls and once through a shared
+//! a fresh session per configuration and once through a shared
 //! [`revterm::ProverSession`], checks that the per-configuration verdicts are
 //! identical, and prints one JSON object per benchmark so future PRs can
 //! track the speedup.
@@ -17,7 +17,7 @@
 //! example and a cheap simple loop); pass benchmark names from
 //! `revterm --list` to measure others.
 
-use revterm::{degree1_sweep, prove, ProverSession};
+use revterm::{degree1_sweep, ProverSession};
 use std::time::Instant;
 
 fn main() {
@@ -40,15 +40,19 @@ fn main() {
 
         // Fresh: one cold prover per configuration (the pre-session protocol).
         let fresh_start = Instant::now();
-        let fresh: Vec<bool> = configs.iter().map(|c| prove(&ts, c).is_non_terminating()).collect();
+        let fresh: Vec<bool> = configs
+            .iter()
+            .map(|c| ProverSession::new(ts.clone()).prove(c).is_non_terminating())
+            .collect();
         let fresh_secs = fresh_start.elapsed().as_secs_f64();
 
         // Sessioned: the same grid through one warm session, no early stop.
         let mut session = ProverSession::new(ts);
         let session_start = Instant::now();
-        let report = session.sweep(&configs, usize::MAX);
+        let report = session.sweep(&configs, 0, None);
         let session_secs = session_start.elapsed().as_secs_f64();
-        let sessioned: Vec<bool> = report.outcomes.iter().map(|o| o.proved).collect();
+        let sessioned: Vec<bool> =
+            report.outcomes.iter().map(|o| o.result.is_non_terminating()).collect();
 
         let verdicts_match = fresh == sessioned;
         all_matched &= verdicts_match;

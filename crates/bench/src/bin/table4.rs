@@ -10,7 +10,7 @@ fn main() {
         table_suite().into_iter().filter(|b| b.expected == Expected::NonTerminating).collect();
     println!("Table 4 reproduction on {} non-terminating benchmarks", suite.len());
 
-    let runs = run_revterm(&suite, &table_sweep_configs(), usize::MAX);
+    let runs = run_revterm(&suite, &table_sweep_configs(), 0);
 
     // The reduced grid uses c in {1,2,3}, d in {1,2}, D in {1,2}; report the
     // cumulative counts over that grid (the paper's D axis is folded in by

@@ -46,7 +46,7 @@
 //! | `interned_monomials` | size of the process-global large-monomial intern pool ([`revterm_poly::mono_pool_stats`]) |
 //! | `sweep_benchmark` | benchmark used for the sweep workload (the paper's running example) |
 //! | `sweep_configs` | number of degree-1 grid cells swept (24) |
-//! | `sweep_fresh_secs` | fresh per-configuration `prove` calls |
+//! | `sweep_fresh_secs` | one fresh session per configuration |
 //! | `sweep_session_secs` | the same grid through one warm [`revterm::ProverSession`] |
 //! | `session_lp_solves` | LP solves issued by the sessioned sweep ([`revterm::ProveStats::lp`] totals) |
 //! | `session_lp_pivots` | simplex pivots across those solves |
@@ -68,7 +68,7 @@
 //! | `benchmark` | benchmark name (from `revterm --list`) |
 //! | `configs` | grid cells swept (24) |
 //! | `proved_cells` | cells that proved non-termination |
-//! | `fresh_secs` | cold per-configuration `prove` calls |
+//! | `fresh_secs` | one cold session per configuration |
 //! | `session_secs` | the same grid through one warm session |
 //! | `speedup` | `fresh_secs / session_secs` |
 //! | `verdicts_match` | per-cell fresh vs sessioned agreement (exit 1 when false) |
@@ -164,7 +164,7 @@ pub fn run_revterm(
         .iter()
         .map(|b| {
             let mut session = b.session();
-            let report = session.sweep(configs, stop_after);
+            let report = session.sweep(configs, stop_after, None);
             // Soundness cross-check against the ground truth.
             if report.proved() {
                 assert_ne!(
@@ -261,7 +261,7 @@ pub fn revterm_column(runs: &[RevTermRun], no_sets: &[Vec<String>]) -> ToolColum
     let proved: Vec<&RevTermRun> = runs.iter().filter(|r| r.report.proved()).collect();
     let times: Vec<f64> = proved
         .iter()
-        .map(|r| r.report.fastest_success().map_or(0.0, |o| o.elapsed.as_secs_f64()))
+        .map(|r| r.report.fastest_success().map_or(0.0, |o| o.result.elapsed.as_secs_f64()))
         .collect();
     let (avg, std) = mean_std(&times);
     let mine: Vec<String> = proved.iter().map(|r| r.name.clone()).collect();

@@ -42,7 +42,7 @@
 //! | 5    | protocol or I/O failure talking to a daemon            |
 
 use revterm::{CheckKind, Error, ProofResult, ProverConfig, ProverSession};
-use revterm_ts::{Assertion, TransitionSystem};
+use revterm_ts::Assertion;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -120,11 +120,6 @@ fn print_stats(result: &ProofResult) {
     );
 }
 
-/// Parses and lowers a program given as inline source.
-fn load_system(src: &str) -> Result<TransitionSystem, Error> {
-    revterm::lower_source(src)
-}
-
 /// Reports the result of a local or remote prove in the shared format and
 /// maps the verdict to the exit code (`0` proved / `1` maybe / `4` timeout).
 fn report_verdict(
@@ -175,7 +170,7 @@ fn run_analyze(args: &[String]) -> ExitCode {
         }
     }
     let Some(src) = source else { return usage_error() };
-    let ts = match load_system(&src) {
+    let ts = match revterm::lower_source(&src) {
         Ok(ts) => ts,
         Err(error) => return exit_for(&error),
     };
@@ -258,7 +253,7 @@ fn run_prove(args: Vec<String>) -> ExitCode {
         let suite = revterm_suite::full_suite();
         for b in &suite {
             let mut session = b.session();
-            let result = session.prove_first_with_deadline(&configs, deadline);
+            let result = session.sweep(&configs, 1, deadline).into_result();
             let verdict = if result.is_non_terminating() {
                 "NO (non-terminating)"
             } else if result.timed_out() {
@@ -282,7 +277,7 @@ fn run_prove(args: Vec<String>) -> ExitCode {
     }
 
     let Some(src) = source else { return usage_error() };
-    let ts = match load_system(&src) {
+    let ts = match revterm::lower_source(&src) {
         Ok(ts) => ts,
         Err(error) => return exit_for(&error),
     };
@@ -294,7 +289,7 @@ fn run_prove(args: Vec<String>) -> ExitCode {
         );
     }
     let mut session = ProverSession::new(ts);
-    let result = session.prove_first_with_deadline(&configs, deadline);
+    let result = session.sweep(&configs, 1, deadline).into_result();
     if show_stats {
         print_stats(&result);
     }

@@ -441,6 +441,15 @@ pub struct WireCertificate {
     pub summary: String,
 }
 
+/// The wire name of a verdict.
+fn verdict_name(verdict: &Verdict) -> &'static str {
+    match verdict {
+        Verdict::NonTerminating(_) => "non-terminating",
+        Verdict::Unknown => "unknown",
+        Verdict::Timeout => "timeout",
+    }
+}
+
 /// The outcome of one configuration (or of a `prove` request as a whole) on
 /// the wire: everything a [`ProofResult`] carries, in serializable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -462,14 +471,9 @@ pub struct WireOutcome {
 impl WireOutcome {
     /// Builds the wire outcome of an in-process [`ProofResult`].
     pub fn from_result(result: &ProofResult, ts: &TransitionSystem) -> WireOutcome {
-        let verdict = match &result.verdict {
-            Verdict::NonTerminating(_) => "non-terminating",
-            Verdict::Unknown => "unknown",
-            Verdict::Timeout => "timeout",
-        };
         WireOutcome {
             label: result.config_label.clone(),
-            verdict: verdict.to_string(),
+            verdict: verdict_name(&result.verdict).to_string(),
             digest: outcome_digest(result, ts),
             elapsed_us: result.elapsed.as_micros() as u64,
             stats: result.stats,
@@ -725,30 +729,25 @@ impl ProveResponse {
 
 /// Builds the wire outcomes of a [`SweepReport`].
 ///
-/// Sweep outcomes do not carry certificates (the report drops them), so the
-/// digest covers the label/verdict pair only; `prove` responses carry the
-/// full certificate digest.
+/// Sweep outcomes on the wire carry no certificates, so the digest covers
+/// the label/verdict pair only; `prove` responses carry the full
+/// certificate digest.
 pub fn sweep_to_outcomes(report: &SweepReport) -> Vec<WireOutcome> {
     report
         .outcomes
         .iter()
         .map(|o| {
-            let verdict = if o.proved {
-                "non-terminating"
-            } else if o.timed_out {
-                "timeout"
-            } else {
-                "unknown"
-            };
+            let result = &o.result;
+            let verdict = verdict_name(&result.verdict);
             let mut hasher = revterm_num::Fnv64::new();
-            o.label.hash(&mut hasher);
+            result.config_label.hash(&mut hasher);
             verdict.hash(&mut hasher);
             WireOutcome {
-                label: o.label.clone(),
+                label: result.config_label.clone(),
                 verdict: verdict.to_string(),
                 digest: hasher.finish(),
-                elapsed_us: o.elapsed.as_micros() as u64,
-                stats: o.stats,
+                elapsed_us: result.elapsed.as_micros() as u64,
+                stats: result.stats,
                 certificate: None,
             }
         })

@@ -9,7 +9,7 @@ use crate::certificate::{Check1Certificate, NonTerminationCertificate};
 use crate::config::{ProverConfig, Strategy};
 use crate::prover::{BudgetGuard, TimedOut};
 use crate::session::{memo, Caches, ProveStats, RestrictedEntry};
-use revterm_invgen::{synthesize_invariant_budgeted, SampleSet, SynthesisOptions, TemplateParams};
+use revterm_invgen::{synthesize_invariant, SampleSet, SynthesisOptions, TemplateParams};
 use revterm_poly::Poly;
 use revterm_safety::{find_initial_valuations, ndet_candidate_values};
 use revterm_ts::interp::{run, Config, Valuation};
@@ -96,30 +96,16 @@ pub(crate) fn synthesis_options(
     }
 }
 
-/// Runs Check 1 on a transition system.
-///
-/// One-shot wrapper around `check1_cached` with empty caches; prefer a
-/// [`crate::ProverSession`] when running more than one configuration.  The
-/// caller is expected to re-validate the returned certificate with
-/// [`crate::validate_certificate`] (the session and [`crate::prove`] entry
-/// points do).  If the configuration carries a [`crate::Budget`] that
-/// expires mid-search, the search is abandoned and `None` is returned (use
-/// [`crate::prove`] to distinguish a timeout from an exhausted search).
-pub fn check1(ts: &TransitionSystem, config: &ProverConfig) -> Option<NonTerminationCertificate> {
-    let guard = BudgetGuard::arm(&config.budget, 0);
-    check1_cached(ts, config, &mut Caches::default(), &mut ProveStats::default(), &guard)
-        .unwrap_or(None)
-}
-
 /// Check 1 with every derived artifact served from (and recorded into) the
 /// session caches: candidate resolutions and preferred initial valuations
 /// per search bounds, restricted systems and their atom pools per
 /// resolution, divergence-probe traces per `(resolution, initial)` pair, and
 /// memoized entailment queries.
 ///
-/// The [`BudgetGuard`] is consulted at candidate boundaries (and before each
-/// synthesis call); `Err(TimedOut)` aborts the search *between* memoized
-/// computations, so every cache entry the call leaves behind is complete.
+/// The [`BudgetGuard`] is consulted at candidate boundaries, before each
+/// synthesis call and (through its synthesis budget) inside Houdini;
+/// `Err(TimedOut)` aborts the search without memoizing the cut computation,
+/// so every cache entry the call leaves behind is complete.
 pub(crate) fn check1_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
@@ -204,7 +190,7 @@ pub(crate) fn check1_cached(
                     samples.add(cfg.loc, cfg.vals.clone());
                 }
                 stats.synthesis_calls += 1;
-                let Some(map) = synthesize_invariant_budgeted(
+                let Some(map) = synthesize_invariant(
                     restricted_system,
                     &samples,
                     &options,

@@ -18,22 +18,10 @@ use crate::prover::{BudgetGuard, TimedOut};
 use crate::session::{
     memo, reversed_entry_for, Caches, ProveStats, RestrictedEntry, ReversedEntry,
 };
-use revterm_invgen::{synthesize_invariant_budgeted, SampleSet};
+use revterm_invgen::{synthesize_invariant, SampleSet};
 use revterm_safety::{find_path_to, reachable_samples};
 use revterm_ts::interp::{run, Config};
 use revterm_ts::{Assertion, TransitionSystem};
-
-/// Runs Check 2 on a transition system.
-///
-/// One-shot wrapper around `check2_cached` with empty caches; prefer a
-/// [`crate::ProverSession`] when running more than one configuration.  Like
-/// [`crate::check1`], an expired [`crate::Budget`] surfaces as `None` here;
-/// [`crate::prove`] reports the structured timeout verdict.
-pub fn check2(ts: &TransitionSystem, config: &ProverConfig) -> Option<NonTerminationCertificate> {
-    let guard = BudgetGuard::arm(&config.budget, 0);
-    check2_cached(ts, config, &mut Caches::default(), &mut ProveStats::default(), &guard)
-        .unwrap_or(None)
-}
 
 /// Check 2 with every derived artifact served from (and recorded into) the
 /// session caches: the reachable forward samples per search bounds, the
@@ -41,9 +29,10 @@ pub fn check2(ts: &TransitionSystem, config: &ProverConfig) -> Option<NonTermina
 /// systems (with their atom pools) per resolution, backward-probe sample
 /// sets, and memoized entailment queries.
 ///
-/// The [`BudgetGuard`] is consulted at candidate-resolution boundaries;
-/// `Err(TimedOut)` aborts the search *between* memoized computations, so
-/// every cache entry the call leaves behind is complete.
+/// The [`BudgetGuard`] is consulted at candidate-resolution boundaries and
+/// (through its synthesis budget) inside Houdini; `Err(TimedOut)` aborts the
+/// search without memoizing the cut computation, so every cache entry the
+/// call leaves behind is complete.
 pub(crate) fn check2_cached(
     ts: &TransitionSystem,
     config: &ProverConfig,
@@ -80,7 +69,7 @@ pub(crate) fn check2_cached(
             sample_set.add(cfg.loc, cfg.vals.clone());
         }
         stats.synthesis_calls += 1;
-        let Some(map) = synthesize_invariant_budgeted(
+        let Some(map) = synthesize_invariant(
             ts,
             &sample_set,
             &tilde_options,
@@ -195,7 +184,7 @@ pub(crate) fn check2_cached(
             cached.clone()
         } else {
             stats.synthesis_calls += 1;
-            let Some(map) = synthesize_invariant_budgeted(
+            let Some(map) = synthesize_invariant(
                 &*reversed_system,
                 backward_samples,
                 &bi_options,

@@ -25,13 +25,11 @@
 //!
 //! ```
 //! use revterm::{CheckKind, ProverConfig, ProverSession};
-//! use revterm_lang::parse_program;
 //!
 //! // The paper's running example (Fig. 1).
-//! let program = parse_program(
+//! let mut session = ProverSession::from_source(
 //!     "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od",
 //! ).unwrap();
-//! let mut session = ProverSession::from_program(&program).unwrap();
 //!
 //! // A single configuration...
 //! let result = session.prove(&ProverConfig::default());
@@ -46,27 +44,25 @@
 //! assert!(warm.stats.total_cache_hits() > 0);
 //! ```
 //!
-//! Sweeps run through the same session ([`ProverSession::sweep`]), and
-//! [`ProofResult`] / [`ConfigOutcome`] carry structured per-stage statistics
-//! ([`ProveStats`]): candidates tried, synthesis and entailment calls, cache
-//! hits.
+//! [`ProofResult`] carries structured per-stage statistics ([`ProveStats`]):
+//! candidates tried, synthesis and entailment calls, cache hits.
 //!
-//! # Migration from the free-function entry points
+//! # The three doors
 //!
-//! The pre-session API survives as thin wrappers that open a one-shot
-//! session, with identical verdicts:
+//! A session answers every query through one of three calls:
 //!
-//! * `prove(&ts, &config)` → [`ProverSession::new`]`(ts).prove(&config)`;
-//! * `prove_with_configs(&ts, &configs)` →
-//!   [`ProverSession::prove_first`] (an **empty** config slice now reports
-//!   the documented [`NO_CONFIGS_LABEL`] instead of the ambiguous `"none"`);
-//! * `sweep(&ts, &configs, stop)` → [`ProverSession::sweep`];
-//! * `ProverConfig { check, .. }` struct literals → [`ProverConfig::builder`].
-//!
-//! The wrappers are kept for downstream code and scripts, but new code
-//! should hold a session: on the degree-1 configuration grid the sessioned
-//! sweep has measured several-fold faster than fresh per-configuration calls
-//! (see the `session_vs_fresh` harness in `revterm-bench`).
+//! * [`ProverSession::prove`] runs one configuration.  A one-shot run is
+//!   `ProverSession::new(ts).prove(&config)`; a warm session returns the
+//!   same verdict and certificate.
+//! * [`ProverSession::sweep`] is the only loop over configurations: it runs
+//!   them in order, stops after `stop_after` proofs (`0` runs them all) and
+//!   clamps each configuration's budget to an optional whole-request
+//!   deadline.  Its [`SweepReport`] keeps every configuration's
+//!   [`ProofResult`], winning certificates included.
+//! * [`ProverSession::prove_first`] is `sweep(configs, 1, None)` folded by
+//!   [`SweepReport::into_result`]: the first proof wins, otherwise `Timeout`
+//!   or `Unknown` (an empty slice reports [`NO_CONFIGS_LABEL`]).  The CLI and
+//!   the daemon use the same fold over `sweep(configs, 1, deadline)`.
 //!
 //! Every `NonTerminating` verdict carries a [`NonTerminationCertificate`]
 //! that has already been re-validated by an independent exact checker
@@ -91,11 +87,9 @@ pub use certificate::{
     validate_certificate, CertificateError, Check1Certificate, Check2Certificate,
     NonTerminationCertificate,
 };
-pub use check1::check1;
-pub use check2::check2;
 pub use config::{Budget, CheckKind, ProverConfig, ProverConfigBuilder, Strategy};
 pub use error::Error;
-pub use prover::{prove, prove_program, prove_with_configs, ProofResult, Verdict};
+pub use prover::{ProofResult, Verdict};
 pub use revterm_absint::{AbstractState, Diagnostics};
 pub use session::{ProveStats, ProverSession, SessionStats, NO_CONFIGS_LABEL};
-pub use sweep::{default_sweep, degree1_sweep, quick_sweep, sweep, ConfigOutcome, SweepReport};
+pub use sweep::{default_sweep, degree1_sweep, quick_sweep, ConfigOutcome, SweepReport};

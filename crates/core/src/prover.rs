@@ -1,18 +1,12 @@
-//! The top-level prover entry points.
-//!
-//! The free functions here ([`prove`], [`prove_with_configs`],
-//! [`crate::sweep`]) are retained for compatibility as thin wrappers that
-//! open a one-shot [`crate::ProverSession`]; new code should use a session
-//! directly so that derived artifacts are shared across configurations.
+//! One prover run: the verdict and result types, the armed budget, and the
+//! single-configuration run behind [`crate::ProverSession::prove`].
 
 use crate::certificate::{validate_certificate, NonTerminationCertificate};
 use crate::check1::check1_cached;
 use crate::check2::check2_cached;
 use crate::config::{Budget, CheckKind, ProverConfig};
-use crate::error::Error;
-use crate::session::{Caches, ProveStats, ProverSession};
-use revterm_lang::Program;
-use revterm_ts::{lower, TransitionSystem};
+use crate::session::{Caches, ProveStats};
+use revterm_ts::TransitionSystem;
 use std::time::{Duration, Instant};
 
 /// The verdict of a prover run.
@@ -27,9 +21,11 @@ pub enum Verdict {
     /// The configuration's cooperative [`Budget`] expired before the search
     /// finished.  Unlike [`Verdict::Unknown`] this does *not* mean the
     /// configuration was exhausted — re-running with a larger budget may
-    /// still prove non-termination.  The interruption happens only at
-    /// candidate boundaries, so the session that produced this verdict is
-    /// never left with partially computed cache entries.
+    /// still prove non-termination.  The budget is polled at candidate
+    /// boundaries, before each synthesis call and inside Houdini between
+    /// transition batches; a cut-short synthesis is discarded rather than
+    /// memoized, so the session that produced this verdict is never left
+    /// with partially computed cache entries.
     Timeout,
 }
 
@@ -65,8 +61,9 @@ impl BudgetGuard {
         }
     }
 
-    /// Returns `true` iff a limit has expired.  Called between candidates
-    /// and before synthesis; the synthesis loops themselves poll via
+    /// Returns `true` iff a limit has expired.  The checks call it between
+    /// candidates and before synthesis; inside synthesis the Houdini loop
+    /// polls the same limits between transition batches through
     /// [`BudgetGuard::synthesis_budget`].
     pub(crate) fn exhausted(&self, entail_lookups_now: u64) -> bool {
         if let Some(deadline) = self.deadline {
@@ -150,47 +147,11 @@ pub(crate) fn prove_cached(
     ProofResult { verdict, elapsed: start.elapsed(), config_label: config.label(), stats }
 }
 
-/// Proves non-termination of a transition system with a single configuration.
-///
-/// A `NonTerminating` verdict is only returned after the certificate produced
-/// by the check has been independently re-validated; if validation fails
-/// (which would indicate a bug in the synthesis heuristics) the verdict is
-/// downgraded to `Unknown`.
-///
-/// Deprecated-style wrapper: this is exactly one cold
-/// [`ProverSession::prove`] call.  Prefer opening a session when proving the
-/// same system more than once.
-pub fn prove(ts: &TransitionSystem, config: &ProverConfig) -> ProofResult {
-    prove_cached(ts, config, &mut Caches::default())
-}
-
-/// Proves non-termination of a transition system, trying several
-/// configurations in order and returning the first success (or `Unknown`
-/// with the cumulative time).
-///
-/// Deprecated-style wrapper over [`ProverSession::prove_first`] on a
-/// one-shot session; prefer the session API.  On an empty `configs` slice
-/// the result is `Unknown` with the documented
-/// [`crate::NO_CONFIGS_LABEL`] label.
-pub fn prove_with_configs(ts: &TransitionSystem, configs: &[ProverConfig]) -> ProofResult {
-    ProverSession::new(ts.clone()).prove_first(configs)
-}
-
-/// Convenience entry point: lowers a program and proves it with the default
-/// Check 1 / Check 2 pair of configurations.
-///
-/// # Errors
-///
-/// Returns [`Error::Analysis`] if the program cannot be translated.
-pub fn prove_program(program: &Program, config: &ProverConfig) -> Result<ProofResult, Error> {
-    let ts = lower(program).map_err(|e| Error::Analysis(e.to_string()))?;
-    Ok(prove(&ts, config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CheckKind, Strategy};
+    use crate::ProverSession;
     use revterm_lang::parse_program;
 
     const RUNNING: &str =
@@ -213,7 +174,7 @@ mod tests {
     #[test]
     fn check1_proves_running_example() {
         let ts = revterm_ts::lower(&parse_program(RUNNING).unwrap()).unwrap();
-        let result = prove(&ts, &ProverConfig::default());
+        let result = ProverSession::new(ts.clone()).prove(&ProverConfig::default());
         assert!(result.is_non_terminating());
         let cert = result.certificate().unwrap();
         assert_eq!(cert.check_kind(), CheckKind::Check1);
@@ -224,7 +185,7 @@ mod tests {
     #[test]
     fn check1_proves_aperiodic_example() {
         let ts = revterm_ts::lower(&parse_program(APERIODIC).unwrap()).unwrap();
-        let result = prove(&ts, &ProverConfig::default());
+        let result = ProverSession::new(ts).prove(&ProverConfig::default());
         assert!(result.is_non_terminating(), "Fig. 3 should be proved by Check 1");
     }
 
@@ -234,7 +195,7 @@ mod tests {
             revterm_ts::lower(&parse_program("n := 0; while n <= 5 do n := n + 1; od").unwrap())
                 .unwrap();
         for check in [CheckKind::Check1, CheckKind::Check2] {
-            let result = prove(&ts, &ProverConfig::with_check(check));
+            let result = ProverSession::new(ts.clone()).prove(&ProverConfig::with_check(check));
             assert!(!result.is_non_terminating(), "{check} must not claim non-termination");
         }
     }
@@ -243,12 +204,12 @@ mod tests {
     fn check2_proves_program_without_initial_diverging_configuration() {
         let ts = revterm_ts::lower(&parse_program(FIG2_SMALL).unwrap()).unwrap();
         // Check 1 fails with constant/linear resolutions (Example 5.5's point).
-        let c1 = prove(&ts, &ProverConfig::default());
+        let c1 = ProverSession::new(ts.clone()).prove(&ProverConfig::default());
         assert!(!c1.is_non_terminating(), "Check 1 should not prove the Fig. 2 family");
         // Check 2 succeeds.
         let mut config = ProverConfig::with_check(CheckKind::Check2);
         config.params = revterm_invgen::TemplateParams::new(3, 1, 1);
-        let c2 = prove(&ts, &config);
+        let c2 = ProverSession::new(ts).prove(&config);
         assert!(c2.is_non_terminating(), "Check 2 should prove the Fig. 2 family");
         assert_eq!(c2.certificate().unwrap().check_kind(), CheckKind::Check2);
     }
@@ -258,32 +219,11 @@ mod tests {
         let ts =
             revterm_ts::lower(&parse_program("while x >= 0 do x := x + 1; od").unwrap()).unwrap();
         let config = ProverConfig::builder().strategy(Strategy::GuardPropagation).build();
-        assert!(prove(&ts, &config).is_non_terminating());
+        assert!(ProverSession::new(ts).prove(&config).is_non_terminating());
     }
 
     #[test]
-    fn prove_program_entry_point() {
-        let program = parse_program("while true do skip; od").unwrap();
-        let result = prove_program(&program, &ProverConfig::default()).unwrap();
-        assert!(result.is_non_terminating());
-        assert!(result.elapsed.as_secs() < 120);
-        assert!(result.config_label.starts_with("check1"));
-    }
-
-    #[test]
-    fn prove_with_configs_on_empty_slice_reports_the_documented_label() {
-        // Regression: the empty sweep used to return `Unknown` silently with
-        // the same label as "ran and failed"; it now carries the documented
-        // sentinel label so callers can distinguish the two.
-        let ts = revterm_ts::lower(&parse_program("while true do skip; od").unwrap()).unwrap();
-        let result = prove_with_configs(&ts, &[]);
-        assert!(!result.is_non_terminating());
-        assert_eq!(result.config_label, crate::session::NO_CONFIGS_LABEL);
-        assert_eq!(result.stats, crate::session::ProveStats::default());
-    }
-
-    #[test]
-    fn prove_with_configs_tries_until_success() {
+    fn prove_first_tries_until_success() {
         let ts = revterm_ts::lower(&parse_program(FIG2_SMALL).unwrap()).unwrap();
         let configs = vec![
             ProverConfig::default(),
@@ -292,7 +232,7 @@ mod tests {
                 .params(revterm_invgen::TemplateParams::new(3, 1, 1))
                 .build(),
         ];
-        let result = prove_with_configs(&ts, &configs);
+        let result = ProverSession::new(ts).prove_first(&configs);
         assert!(result.is_non_terminating());
         assert!(result.config_label.starts_with("check2"));
     }

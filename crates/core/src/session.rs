@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation protocol (Section 6) runs *every* configuration of
 //! the check × strategy × template grid on each benchmark.  Most of the work
-//! a single [`crate::prove`] call performs depends only on the transition
-//! system (or on a small projection of the configuration), not on the full
+//! a single prove call performs depends only on the transition system (or
+//! on a small projection of the configuration), not on the full
 //! configuration: candidate resolutions, initial valuations, restricted and
 //! reversed systems, divergence-probe interpreter traces, reachable sample
 //! sets, candidate atom pools and — dominating everything — the exact
@@ -19,20 +19,21 @@
 //! independent, uncached oracle.
 
 use crate::config::ProverConfig;
-use crate::prover::{prove_cached, ProofResult};
+use crate::prover::{prove_cached, ProofResult, Verdict};
 use crate::sweep::{ConfigOutcome, SweepReport};
 use revterm_invgen::{PoolCache, SampleSet};
-use revterm_lang::Program;
 use revterm_safety::SearchBounds;
 use revterm_solver::{EntailmentCache, LpStats};
 use revterm_ts::interp::{Config, Valuation};
-use revterm_ts::{lower, Assertion, PredicateMap, Resolution, TransitionSystem};
+use revterm_ts::{Assertion, PredicateMap, Resolution, TransitionSystem};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
-/// The label reported by [`ProverSession::prove_first`] (and the
-/// [`crate::prove_with_configs`] wrapper) when called with an **empty**
-/// configuration slice: no configuration ran, so the outcome is `Unknown`
-/// by definition, with this sentinel label instead of a configuration label.
+/// The label reported by [`ProverSession::prove_first`] (and by
+/// [`SweepReport::into_result`] on an empty report) when called with an
+/// **empty** configuration slice: no configuration ran, so the outcome is
+/// `Unknown` by definition, with this sentinel label instead of a
+/// configuration label.
 pub const NO_CONFIGS_LABEL: &str = "no-configs";
 
 /// Structured per-stage statistics of one `prove` call.
@@ -197,8 +198,8 @@ pub(crate) fn reversed_entry_for<'a>(
     }
 }
 
-/// All memo tables of a session.  `Default` gives the empty caches used by
-/// the one-shot free-function wrappers.
+/// All memo tables of a session.  `Default` gives the empty caches of a
+/// fresh session.
 #[derive(Default)]
 pub(crate) struct Caches {
     /// Global entailment memo (keyed purely on polynomials, so it is shared
@@ -271,16 +272,14 @@ impl Caches {
 /// This is the primary entry point of the crate.  Open a session once per
 /// program, then run as many configurations against it as needed — a sweep
 /// over the paper's configuration grid typically runs several times faster
-/// than fresh per-configuration [`crate::prove`] calls, with identical
-/// results (see the module docs for why the caches cannot change verdicts).
+/// than a fresh session per configuration, with identical results (see the
+/// module docs for why the caches cannot change verdicts).
 ///
 /// ```
-/// use revterm::{ProverSession, ProverConfig, quick_sweep};
-/// use revterm_lang::parse_program;
+/// use revterm::{ProverSession, quick_sweep};
 ///
-/// let program = parse_program("while x >= 0 do x := x + 1; od").unwrap();
-/// let mut session = ProverSession::from_program(&program).unwrap();
-/// let report = session.sweep(&quick_sweep(), 1);
+/// let mut session = ProverSession::from_source("while x >= 0 do x := x + 1; od").unwrap();
+/// let report = session.sweep(&quick_sweep(), 1, None);
 /// assert!(report.proved());
 /// ```
 pub struct ProverSession {
@@ -293,9 +292,9 @@ pub struct ProverSession {
 /// (identity when `deadline` is `None`).  The budget is excluded from
 /// [`ProverConfig::label`] and from every cache key, so clamping changes
 /// *when* a run is cut short but never *what* any completed run computes.
-fn clamp_to_deadline(config: &ProverConfig, deadline: Option<std::time::Instant>) -> ProverConfig {
+fn clamp_to_deadline(config: &ProverConfig, deadline: Option<Instant>) -> ProverConfig {
     let Some(deadline) = deadline else { return config.clone() };
-    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+    let remaining = deadline.saturating_duration_since(Instant::now());
     let mut clamped = config.clone();
     clamped.budget.time_limit = Some(match clamped.budget.time_limit {
         Some(own) => own.min(remaining),
@@ -310,17 +309,6 @@ impl ProverSession {
         ProverSession { ts, caches: Caches::default(), stats: SessionStats::default() }
     }
 
-    /// Opens a session by lowering a program.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::Analysis`] if the program cannot be
-    /// translated.
-    pub fn from_program(program: &Program) -> Result<ProverSession, crate::Error> {
-        let ts = lower(program).map_err(|e| crate::Error::Analysis(e.to_string()))?;
-        Ok(ProverSession::new(ts))
-    }
-
     /// Opens a session straight from program text (parse + analyse + lower).
     ///
     /// # Errors
@@ -330,8 +318,7 @@ impl ProverSession {
     /// failures — the same split the CLI exit codes and the wire protocol
     /// report.
     pub fn from_source(source: &str) -> Result<ProverSession, crate::Error> {
-        let program = revterm_lang::parse_program(source).map_err(crate::Error::Parse)?;
-        ProverSession::from_program(&program)
+        crate::api::lower_source(source).map(ProverSession::new)
     }
 
     /// The transition system this session proves facts about.
@@ -381,10 +368,11 @@ impl ProverSession {
     /// Proves non-termination with a single configuration, reusing every
     /// artifact previous calls on this session have already computed.
     ///
-    /// Behaves exactly like the free function [`crate::prove`] (including
-    /// the independent certificate re-validation), except faster when the
-    /// session is warm.  The returned [`ProofResult::stats`] describe this
-    /// call's work and cache effectiveness.
+    /// A fresh session's `prove` is the one-shot run: a warm session returns
+    /// the same verdict and certificate (including the independent
+    /// certificate re-validation), only faster.  The returned
+    /// [`ProofResult::stats`] describe this call's work and cache
+    /// effectiveness.
     pub fn prove(&mut self, config: &ProverConfig) -> ProofResult {
         let result = prove_cached(&self.ts, config, &mut self.caches);
         self.stats.proves += 1;
@@ -392,125 +380,61 @@ impl ProverSession {
         result
     }
 
-    /// Tries configurations in order, returning the first success.
-    ///
-    /// The sessioned equivalent of [`crate::prove_with_configs`].  If no
-    /// configuration succeeds the verdict is `Unknown` with the label of the
-    /// **empty** sweep documented on [`NO_CONFIGS_LABEL`] when `configs` is
-    /// empty, or `"none"` when configurations ran but all failed.  If no
-    /// configuration succeeds but at least one was cut short by its
-    /// [`crate::Budget`], the verdict is [`crate::Verdict::Timeout`] (the
-    /// search was not exhausted, so `Unknown` would overclaim).
+    /// Tries configurations in order, returning the first success: exactly
+    /// `self.sweep(configs, 1, None)` folded by [`SweepReport::into_result`]
+    /// (see there for the verdict and label when nothing is proved).
     pub fn prove_first(&mut self, configs: &[ProverConfig]) -> ProofResult {
-        self.prove_first_with_deadline(configs, None)
+        self.sweep(configs, 1, None).into_result()
     }
 
-    /// [`ProverSession::prove_first`] under a whole-request deadline.
+    /// Runs configurations in order (the paper's Section 6 protocol),
+    /// stopping once `stop_after` of them have proved non-termination;
+    /// `stop_after = 0` runs them all.  Per-configuration verdicts are
+    /// identical to fresh one-shot runs, but shared artifacts are computed
+    /// once across the whole grid.
     ///
-    /// Before each configuration runs, its [`crate::Budget`] time limit is
-    /// clamped to the time remaining until `deadline`; configurations whose
-    /// turn comes at or after the deadline are not run at all and the result
-    /// is a structured [`crate::Verdict::Timeout`] (an already-expired
-    /// deadline therefore *always* yields `Timeout`, never a verdict
-    /// computed on zero allotted time).  With `deadline: None` this is *exactly*
-    /// [`ProverSession::prove_first`] — the `revterm-serve` daemon routes
-    /// every prove request through here, which is what makes daemon verdicts
-    /// bitwise-identical to in-process ones when no deadline is given.
-    pub fn prove_first_with_deadline(
+    /// Under a `deadline`, each configuration's [`crate::Budget`] time limit
+    /// is clamped to the time remaining before it runs.  A configuration
+    /// whose turn comes at or after the deadline is not run at all and is
+    /// recorded as a [`crate::Verdict::Timeout`] with zero elapsed time, so
+    /// a cut-short sweep is distinguishable from an exhausted one (and an
+    /// already-expired deadline *always* yields `Timeout`, never a verdict
+    /// computed on zero allotted time).  With `deadline: None` nothing is
+    /// clamped, which is what makes daemon verdicts bitwise-identical to
+    /// in-process ones when a request carries no deadline.
+    pub fn sweep(
         &mut self,
         configs: &[ProverConfig],
-        deadline: Option<std::time::Instant>,
-    ) -> ProofResult {
-        let start = std::time::Instant::now();
-        let mut stats = ProveStats::default();
-        let mut any_timeout = false;
-        for config in configs {
-            // A configuration whose turn comes at or after the deadline is
-            // not run at all: even "no real work" has unpolled setup phases
-            // that could legitimately conclude `Unknown`, and reporting
-            // `Unknown` for a search that was never given time overclaims.
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                any_timeout = true;
-                break;
-            }
-            let result = self.prove(&clamp_to_deadline(config, deadline));
-            stats.accumulate(&result.stats);
-            any_timeout |= result.timed_out();
-            if result.is_non_terminating() {
-                return ProofResult { elapsed: start.elapsed(), stats, ..result };
-            }
-        }
-        ProofResult {
-            verdict: if any_timeout {
-                crate::prover::Verdict::Timeout
-            } else {
-                crate::prover::Verdict::Unknown
-            },
-            elapsed: start.elapsed(),
-            config_label: if configs.is_empty() {
-                NO_CONFIGS_LABEL.to_string()
-            } else {
-                "none".to_string()
-            },
-            stats,
-        }
-    }
-
-    /// Runs a configuration sweep (the paper's Section 6 protocol), stopping
-    /// early once `stop_after_success` successful configurations have been
-    /// observed (pass `usize::MAX` to run the full grid).
-    ///
-    /// The sessioned equivalent of [`crate::sweep`]: per-configuration
-    /// verdicts are identical to fresh runs, but shared artifacts are
-    /// computed once across the whole grid.
-    pub fn sweep(&mut self, configs: &[ProverConfig], stop_after_success: usize) -> SweepReport {
-        self.sweep_with_deadline(configs, stop_after_success, None)
-    }
-
-    /// [`ProverSession::sweep`] under a whole-request deadline (see
-    /// [`ProverSession::prove_first_with_deadline`] for the clamping rule).
-    /// Configurations whose turn comes after the deadline are recorded with
-    /// [`ConfigOutcome::timed_out`] set rather than silently dropped, so a
-    /// cut-short sweep is distinguishable from an exhausted one.
-    pub fn sweep_with_deadline(
-        &mut self,
-        configs: &[ProverConfig],
-        stop_after_success: usize,
-        deadline: Option<std::time::Instant>,
+        stop_after: usize,
+        deadline: Option<Instant>,
     ) -> SweepReport {
         let mut report = SweepReport::default();
         let mut successes = 0usize;
         for config in configs {
-            // Same rule as `prove_first_with_deadline`: past the deadline a
-            // configuration is recorded as timed out, not actually run.
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                report.outcomes.push(ConfigOutcome {
-                    label: config.label(),
-                    check: config.check,
-                    strategy: config.strategy,
-                    params: config.params,
-                    proved: false,
-                    timed_out: true,
-                    elapsed: std::time::Duration::ZERO,
+            // Past the deadline a configuration is not run at all: even "no
+            // real work" has unpolled setup phases that could legitimately
+            // conclude `Unknown`, and reporting `Unknown` for a search that
+            // was never given time overclaims.
+            let result = if deadline.is_some_and(|d| Instant::now() >= d) {
+                ProofResult {
+                    verdict: Verdict::Timeout,
+                    elapsed: Duration::ZERO,
+                    config_label: config.label(),
                     stats: ProveStats::default(),
-                });
-                continue;
-            }
-            let result = self.prove(&clamp_to_deadline(config, deadline));
+                }
+            } else {
+                self.prove(&clamp_to_deadline(config, deadline))
+            };
             let proved = result.is_non_terminating();
             report.outcomes.push(ConfigOutcome {
-                label: config.label(),
                 check: config.check,
                 strategy: config.strategy,
                 params: config.params,
-                proved,
-                timed_out: result.timed_out(),
-                elapsed: result.elapsed,
-                stats: result.stats,
+                result,
             });
             if proved {
                 successes += 1;
-                if successes >= stop_after_success {
+                if successes == stop_after {
                     break;
                 }
             }
@@ -534,7 +458,7 @@ mod tests {
         let ts = revterm_ts::lower(&parse_program(RUNNING).unwrap()).unwrap();
         let mut session = ProverSession::new(ts.clone());
         for config in quick_sweep() {
-            let fresh = crate::prover::prove(&ts, &config);
+            let fresh = ProverSession::new(ts.clone()).prove(&config);
             let sessioned = session.prove(&config);
             assert_eq!(fresh.is_non_terminating(), sessioned.is_non_terminating());
             assert_eq!(fresh.config_label, sessioned.config_label);
@@ -634,9 +558,9 @@ mod tests {
         let ok = session.prove(&roomy);
         assert!(ok.is_non_terminating());
         // Sweeps record per-configuration timeouts.
-        let report = session.sweep(std::slice::from_ref(&capped), usize::MAX);
-        assert!(report.outcomes[0].timed_out);
-        assert!(!report.outcomes[0].proved);
+        let report = session.sweep(std::slice::from_ref(&capped), 0, None);
+        assert!(report.outcomes[0].result.timed_out());
+        assert!(!report.proved());
     }
 
     #[test]
@@ -644,9 +568,35 @@ mod tests {
         let ts =
             revterm_ts::lower(&parse_program("while x >= 0 do x := x + 1; od").unwrap()).unwrap();
         let mut session = ProverSession::new(ts);
-        let report = session.sweep(&quick_sweep(), 1);
+        let report = session.sweep(&quick_sweep(), 1, None);
         assert!(report.proved());
-        assert_eq!(report.outcomes.len(), 1, "stop_after_success must cut the grid short");
+        assert_eq!(report.outcomes.len(), 1, "stop_after must cut the grid short");
         assert_eq!(report.outcomes[0].check, CheckKind::Check1);
+    }
+
+    #[test]
+    fn sweep_with_stop_after_zero_runs_every_configuration() {
+        // Both quick-sweep configurations prove this loop, so a sweep that
+        // stopped after the first proof would record one outcome.
+        let mut session = ProverSession::from_source("while x >= 0 do x := x + 1; od").unwrap();
+        let report = session.sweep(&quick_sweep(), 0, None);
+        assert_eq!(report.outcomes.len(), quick_sweep().len());
+        assert!(report.outcomes.iter().all(|o| o.result.is_non_terminating()));
+        let labels: Vec<String> = quick_sweep().iter().map(ProverConfig::label).collect();
+        let recorded: Vec<String> =
+            report.outcomes.iter().map(|o| o.result.config_label.clone()).collect();
+        assert_eq!(recorded, labels);
+    }
+
+    #[test]
+    fn expired_deadline_records_every_configuration_as_timed_out() {
+        let mut session = ProverSession::from_source(RUNNING).unwrap();
+        let report = session.sweep(&quick_sweep(), 0, Some(Instant::now()));
+        assert_eq!(report.outcomes.len(), quick_sweep().len());
+        assert!(report.outcomes.iter().all(|o| o.result.timed_out()));
+        assert_eq!(session.stats().proves, 0, "no configuration may run past the deadline");
+        let folded = report.into_result();
+        assert!(folded.timed_out());
+        assert_eq!(folded.config_label, "none");
     }
 }

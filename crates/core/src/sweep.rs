@@ -3,38 +3,30 @@
 //! The paper evaluates RevTerm by running every configuration — a choice of
 //! check, SMT solver and template size `(c, d, D)` — separately and counting
 //! a benchmark as proved non-terminating if *at least one* configuration
-//! succeeds.  [`sweep`] reproduces that protocol and records which
-//! configuration succeeded first together with its runtime, which is the raw
-//! data behind Tables 1–4.
+//! succeeds.  [`crate::ProverSession::sweep`] reproduces that protocol and
+//! records every configuration's result together with its runtime, which is
+//! the raw data behind Tables 1–4.
 
 use crate::config::{CheckKind, ProverConfig, Strategy};
-use crate::session::{ProveStats, ProverSession};
+use crate::prover::{ProofResult, Verdict};
+use crate::session::{ProveStats, NO_CONFIGS_LABEL};
 use revterm_invgen::TemplateParams;
-use revterm_ts::TransitionSystem;
 use std::time::Duration;
 
 /// The outcome of one configuration on one benchmark.
 #[derive(Debug, Clone)]
 pub struct ConfigOutcome {
-    /// The configuration label (`check1/houdini/(c=2,d=1,D=1)`).
-    pub label: String,
     /// Which check the configuration ran.
     pub check: CheckKind,
     /// Which strategy (solver stand-in) the configuration used.
     pub strategy: Strategy,
     /// The template parameters.
     pub params: TemplateParams,
-    /// Whether non-termination was proved.
-    pub proved: bool,
-    /// Whether the configuration's [`crate::Budget`] cut the run short (in
-    /// which case `proved` is `false` but the configuration was not
-    /// exhausted).
-    pub timed_out: bool,
-    /// Wall-clock time of this configuration.
-    pub elapsed: Duration,
-    /// Per-stage statistics of this configuration's run (candidates tried,
-    /// synthesis/entailment calls, cache hits).
-    pub stats: ProveStats,
+    /// The configuration's result: verdict (with the certificate of a
+    /// proof), label, wall-clock time and per-stage statistics.  A
+    /// configuration skipped because its turn came past the sweep's
+    /// deadline reads `Timeout` with zero elapsed time.
+    pub result: ProofResult,
 }
 
 /// The sweep result for one benchmark.
@@ -47,31 +39,63 @@ pub struct SweepReport {
 impl SweepReport {
     /// Returns `true` iff at least one configuration proved non-termination.
     pub fn proved(&self) -> bool {
-        self.outcomes.iter().any(|o| o.proved)
+        self.successes().next().is_some()
+    }
+
+    /// The configurations that proved non-termination, in sweep order.
+    fn successes(&self) -> impl Iterator<Item = &ConfigOutcome> {
+        self.outcomes.iter().filter(|o| o.result.is_non_terminating())
     }
 
     /// The fastest successful configuration, if any.
     pub fn fastest_success(&self) -> Option<&ConfigOutcome> {
-        self.outcomes.iter().filter(|o| o.proved).min_by_key(|o| o.elapsed)
+        self.successes().min_by_key(|o| o.result.elapsed)
     }
 
     /// Total time spent across all configurations.
     pub fn total_elapsed(&self) -> Duration {
-        self.outcomes.iter().map(|o| o.elapsed).sum()
+        self.outcomes.iter().map(|o| o.result.elapsed).sum()
     }
 
     /// The successful configurations restricted to a check / strategy cell
     /// (used by the Table 3 harness).
     pub fn proved_with(&self, check: CheckKind, strategy: Strategy) -> bool {
-        self.outcomes.iter().any(|o| o.proved && o.check == check && o.strategy == strategy)
+        self.successes().any(|o| o.check == check && o.strategy == strategy)
     }
 
     /// Whether some configuration with template bounds `c ≤ max_c` and
     /// `d ≤ max_d` proved the benchmark (used by the Table 4 harness).
     pub fn proved_within(&self, max_c: usize, max_d: usize, max_degree: u32) -> bool {
-        self.outcomes.iter().any(|o| {
-            o.proved && o.params.c <= max_c && o.params.d <= max_d && o.params.degree <= max_degree
-        })
+        self.successes()
+            .any(|o| o.params.c <= max_c && o.params.d <= max_d && o.params.degree <= max_degree)
+    }
+
+    /// Folds the sweep into one [`ProofResult`], the answer of
+    /// [`crate::ProverSession::prove_first`]: the first proof wins, with its
+    /// certificate and label.  When nothing was proved the verdict is
+    /// [`Verdict::Timeout`] if some configuration was cut short by its
+    /// [`crate::Budget`] or the deadline (the search was not exhausted, so
+    /// `Unknown` would overclaim) and [`Verdict::Unknown`] otherwise, with
+    /// the label [`NO_CONFIGS_LABEL`] for an empty sweep and `"none"` for one
+    /// whose configurations all failed.  Elapsed time and statistics are
+    /// summed over every configuration.
+    pub fn into_result(self) -> ProofResult {
+        let elapsed = self.total_elapsed();
+        let mut stats = ProveStats::default();
+        for outcome in &self.outcomes {
+            stats.accumulate(&outcome.result.stats);
+        }
+        let any_timeout = self.outcomes.iter().any(|o| o.result.timed_out());
+        let label = if self.outcomes.is_empty() { NO_CONFIGS_LABEL } else { "none" };
+        match self.outcomes.into_iter().find(|o| o.result.is_non_terminating()) {
+            Some(winner) => ProofResult { elapsed, stats, ..winner.result },
+            None => ProofResult {
+                verdict: if any_timeout { Verdict::Timeout } else { Verdict::Unknown },
+                elapsed,
+                config_label: label.to_string(),
+                stats,
+            },
+        }
     }
 }
 
@@ -124,27 +148,10 @@ pub fn degree1_sweep() -> Vec<ProverConfig> {
     default_sweep().into_iter().filter(|c| c.params.degree == 1).collect()
 }
 
-/// Runs a configuration sweep on a transition system, stopping early once
-/// `stop_after_success` successful configurations have been observed (pass
-/// `usize::MAX` to run the full grid, as the paper's per-configuration tables
-/// require).
-///
-/// Deprecated-style wrapper over [`ProverSession::sweep`] on a one-shot
-/// session; prefer keeping the session when sweeping more than once (or when
-/// also proving single configurations of the same system).
-pub fn sweep(
-    ts: &TransitionSystem,
-    configs: &[ProverConfig],
-    stop_after_success: usize,
-) -> SweepReport {
-    ProverSession::new(ts.clone()).sweep(configs, stop_after_success)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revterm_lang::parse_program;
-    use revterm_ts::lower;
+    use crate::ProverSession;
 
     #[test]
     fn degree1_sweep_is_the_degree_one_slice() {
@@ -169,21 +176,22 @@ mod tests {
 
     #[test]
     fn sweep_reports_first_success_and_statistics() {
-        let ts = lower(&parse_program("while x >= 0 do x := x + 1; od").unwrap()).unwrap();
-        let report = sweep(&ts, &quick_sweep(), 1);
+        let mut session = ProverSession::from_source("while x >= 0 do x := x + 1; od").unwrap();
+        let report = session.sweep(&quick_sweep(), 1, None);
         assert!(report.proved());
         let fastest = report.fastest_success().unwrap();
-        assert!(fastest.proved);
+        assert!(fastest.result.certificate().is_some(), "a sweep keeps the winning certificate");
         assert!(report.proved_with(fastest.check, fastest.strategy));
         assert!(report.proved_within(5, 5, 2));
         assert!(!report.proved_within(0, 0, 0));
-        assert!(report.total_elapsed() >= fastest.elapsed);
+        assert!(report.total_elapsed() >= fastest.result.elapsed);
     }
 
     #[test]
     fn sweep_on_terminating_program_reports_nothing() {
-        let ts = lower(&parse_program("n := 0; while n <= 3 do n := n + 1; od").unwrap()).unwrap();
-        let report = sweep(&ts, &quick_sweep(), 1);
+        let mut session =
+            ProverSession::from_source("n := 0; while n <= 3 do n := n + 1; od").unwrap();
+        let report = session.sweep(&quick_sweep(), 1, None);
         assert!(!report.proved());
         assert!(report.fastest_success().is_none());
         assert_eq!(report.outcomes.len(), quick_sweep().len());

@@ -191,7 +191,7 @@ fn guard_atoms(ts: &TransitionSystem) -> Vec<Poly> {
 ///
 /// These three ingredients of [`candidate_atoms`] depend only on the
 /// transition system (and, for shapes, on the template parameters) — not on
-/// the sample sets — yet the uncached pool generator recomputes them once per
+/// the sample sets — so a fresh cache per call would recompute them once per
 /// location per synthesis call.  A `PoolCache` is valid for exactly **one**
 /// transition system; the session-centric prover API keeps one per cached
 /// restricted/reversed system.
@@ -249,20 +249,10 @@ impl PoolCache {
 /// Every returned polynomial `p` is a candidate conjunct `p ≥ 0` that is
 /// consistent with all sample valuations recorded for the location.  The pool
 /// size is bounded by the template parameters; with no samples at a location
-/// the thresholds come from the program constants alone.
+/// the thresholds come from the program constants alone.  The per-system
+/// artifacts are served from `cache`, which must belong to `ts` (see the
+/// [`PoolCache`] docs); a fresh cache gives the same pool.
 pub fn candidate_atoms(
-    ts: &TransitionSystem,
-    loc: Loc,
-    samples: &SampleSet,
-    params: &TemplateParams,
-) -> Vec<Poly> {
-    candidate_atoms_cached(ts, loc, samples, params, &mut PoolCache::new())
-}
-
-/// [`candidate_atoms`] with the per-system artifacts served from a
-/// [`PoolCache`].  Produces bitwise-identical pools; the cache must belong to
-/// `ts` (see the `PoolCache` docs).
-pub fn candidate_atoms_cached(
     ts: &TransitionSystem,
     loc: Loc,
     samples: &SampleSet,
@@ -370,7 +360,13 @@ mod tests {
         let mut samples = SampleSet::new();
         samples.add(ts.init_loc(), Valuation::from_i64s(&[9, 0]));
         samples.add(ts.init_loc(), Valuation::from_i64s(&[12, 120]));
-        let pool = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(2, 1, 1));
+        let pool = candidate_atoms(
+            &ts,
+            ts.init_loc(),
+            &samples,
+            &TemplateParams::new(2, 1, 1),
+            &mut PoolCache::new(),
+        );
         assert!(!pool.is_empty());
         // Every candidate atom is satisfied by every sample.
         for atom in &pool {
@@ -397,8 +393,8 @@ mod tests {
         let mut cache = PoolCache::new();
         for params in [TemplateParams::new(1, 1, 1), TemplateParams::new(3, 2, 2)] {
             for loc in ts.locations() {
-                let fresh = candidate_atoms(&ts, loc, &samples, &params);
-                let cached = candidate_atoms_cached(&ts, loc, &samples, &params, &mut cache);
+                let fresh = candidate_atoms(&ts, loc, &samples, &params, &mut PoolCache::new());
+                let cached = candidate_atoms(&ts, loc, &samples, &params, &mut cache);
                 assert_eq!(fresh, cached, "pool mismatch at {loc:?} with {params:?}");
             }
         }
@@ -410,9 +406,11 @@ mod tests {
     fn richer_parameters_grow_the_pool() {
         let ts = running_ts();
         let samples = SampleSet::new();
-        let small = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(1, 1, 1));
-        let medium = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(2, 1, 1));
-        let large = candidate_atoms(&ts, ts.init_loc(), &samples, &TemplateParams::new(3, 2, 2));
+        let pool = |c, d, degree| {
+            let params = TemplateParams::new(c, d, degree);
+            candidate_atoms(&ts, ts.init_loc(), &samples, &params, &mut PoolCache::new())
+        };
+        let (small, medium, large) = (pool(1, 1, 1), pool(2, 1, 1), pool(3, 2, 2));
         assert!(small.len() < medium.len());
         assert!(medium.len() < large.len());
         // c = 1 only produces single-variable atoms.

@@ -1,6 +1,6 @@
 //! Guess-and-check (Houdini-style) synthesis of inductive predicate maps.
 
-use crate::atoms::{candidate_atoms_cached, PoolCache, SampleSet, TemplateParams};
+use crate::atoms::{candidate_atoms, PoolCache, SampleSet, TemplateParams};
 use crate::verify::{is_inductive, predicate_entails};
 use revterm_absint::{close_premises, PremiseClosure};
 use revterm_poly::Poly;
@@ -85,58 +85,20 @@ impl Default for SynthesisOptions {
 /// `require_initiation` it additionally satisfies `Θ_init ⟹ I(ℓ_init)`, so it
 /// is a genuine invariant of the system.  Sample valuations known to belong
 /// to the over-approximated set prune the candidate pool up front.
-pub fn synthesize_invariant(
-    ts: &TransitionSystem,
-    samples: &SampleSet,
-    options: &SynthesisOptions,
-) -> PredicateMap {
-    synthesize_invariant_cached(
-        ts,
-        samples,
-        options,
-        &mut PoolCache::new(),
-        &mut EntailmentCache::new(),
-        &mut LpStats::default(),
-    )
-}
-
-/// [`synthesize_invariant`] with the candidate-pool artifacts served from a
-/// [`PoolCache`] and every entailment query memoized in an
-/// [`EntailmentCache`]; LP work is added to `lp`.
 ///
-/// Produces a bitwise-identical predicate map (both caches are pure memo
-/// tables); the pool cache must belong to `ts`, while the entailment cache is
-/// keyed purely on polynomials and may be shared across systems.  The
-/// session-centric prover API threads long-lived caches through here so that
-/// configuration sweeps discharge each recurring consecution obligation once.
-pub fn synthesize_invariant_cached(
-    ts: &TransitionSystem,
-    samples: &SampleSet,
-    options: &SynthesisOptions,
-    pool: &mut PoolCache,
-    entail: &mut EntailmentCache,
-    lp: &mut LpStats,
-) -> PredicateMap {
-    synthesize_invariant_budgeted(
-        ts,
-        samples,
-        options,
-        pool,
-        entail,
-        lp,
-        &SynthesisBudget::unlimited(),
-    )
-    .expect("an unlimited synthesis budget cannot be exhausted")
-}
-
-/// [`synthesize_invariant_cached`] under a [`SynthesisBudget`].
+/// The candidate-pool artifacts are served from `pool` and every entailment
+/// query is memoized in `entail`; LP work is added to `lp`.  Both caches are
+/// pure memo tables, so the predicate map does not depend on what they
+/// already hold: the pool cache must belong to `ts`, while the entailment
+/// cache is keyed purely on polynomials and may be shared across systems.
+/// A one-shot caller passes fresh caches and [`SynthesisBudget::unlimited`].
 ///
-/// Returns `None` as soon as the budget fires (polled before the initiation
+/// Returns `None` as soon as `budget` fires (polled before the initiation
 /// pruning and between Houdini transition batches — the overrun is bounded
 /// by one batch).  A `None` result is a *cut-short* computation, not a
 /// fixpoint: callers must not cache it or treat it as an invariant.
 #[allow(clippy::too_many_arguments)]
-pub fn synthesize_invariant_budgeted(
+pub fn synthesize_invariant(
     ts: &TransitionSystem,
     samples: &SampleSet,
     options: &SynthesisOptions,
@@ -151,7 +113,7 @@ pub fn synthesize_invariant_budgeted(
             if Some(loc) == options.forced_false {
                 Vec::new()
             } else {
-                candidate_atoms_cached(ts, loc, samples, &options.params, pool)
+                candidate_atoms(ts, loc, samples, &options.params, pool)
             }
         })
         .collect();
@@ -343,6 +305,24 @@ mod tests {
     const RUNNING: &str =
         "while x >= 9 do x := ndet(); y := 10 * x; while x <= y do x := x + 1; od od";
 
+    /// A one-shot synthesis: fresh caches, no budget.
+    fn synthesize_fresh(
+        ts: &TransitionSystem,
+        samples: &SampleSet,
+        options: &SynthesisOptions,
+    ) -> PredicateMap {
+        synthesize_invariant(
+            ts,
+            samples,
+            options,
+            &mut PoolCache::new(),
+            &mut EntailmentCache::new(),
+            &mut LpStats::default(),
+            &SynthesisBudget::unlimited(),
+        )
+        .expect("an unlimited budget never fires")
+    }
+
     #[test]
     fn forward_invariant_of_simple_counter() {
         // n := 0; while n <= 5 do n := n + 1; od
@@ -351,7 +331,7 @@ mod tests {
         let mut samples = SampleSet::new();
         samples.add(ts.init_loc(), Valuation::from_i64s(&[0]));
         let options = SynthesisOptions::default();
-        let map = synthesize_invariant(&ts, &samples, &options);
+        let map = synthesize_fresh(&ts, &samples, &options);
         // The map is inductive and initiation holds.
         assert!(is_inductive(&ts, &map, &options.entailment, &[]).is_ok());
         assert!(crate::initiation_holds(&ts, &map, &options.entailment));
@@ -385,7 +365,7 @@ mod tests {
             forced_false: Some(restricted.terminal_loc()),
             ..SynthesisOptions::default()
         };
-        let map = synthesize_invariant(&restricted, &samples, &options);
+        let map = synthesize_fresh(&restricted, &samples, &options);
 
         // The invariant entails x >= 9 at the outer loop head.
         let x = Poly::var(Var(0));
@@ -420,7 +400,7 @@ mod tests {
         // though no sample is provided.
         let ts = lower(&parse_program("x := 5; while x >= 0 do x := x - 1; od").unwrap()).unwrap();
         let options = SynthesisOptions::default();
-        let map = synthesize_invariant(&ts, &SampleSet::new(), &options);
+        let map = synthesize_fresh(&ts, &SampleSet::new(), &options);
         assert!(crate::initiation_holds(&ts, &map, &options.entailment));
         assert!(is_inductive(&ts, &map, &options.entailment, &[]).is_ok());
         // x <= 5 is an invariant of this program and should be implied at the
@@ -450,7 +430,7 @@ mod tests {
             forced_false: Some(ts.terminal_loc()),
             ..SynthesisOptions::default()
         };
-        let map = synthesize_invariant(&ts, &SampleSet::new(), &options);
+        let map = synthesize_fresh(&ts, &SampleSet::new(), &options);
         assert!(map.at(ts.terminal_loc()).is_empty());
     }
 }

@@ -30,12 +30,6 @@ mod atoms;
 mod houdini;
 mod verify;
 
-pub use atoms::{
-    candidate_atoms, candidate_atoms_cached, collect_constants, PoolCache, SampleSet,
-    TemplateParams,
-};
-pub use houdini::{
-    invariant_implies_at, synthesize_invariant, synthesize_invariant_budgeted,
-    synthesize_invariant_cached, SynthesisBudget, SynthesisOptions,
-};
+pub use atoms::{candidate_atoms, collect_constants, PoolCache, SampleSet, TemplateParams};
+pub use houdini::{invariant_implies_at, synthesize_invariant, SynthesisBudget, SynthesisOptions};
 pub use verify::{initiation_holds, is_inductive, predicate_entails, InductivenessViolation};

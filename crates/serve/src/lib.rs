@@ -34,9 +34,10 @@
 //!
 //! A verdict served by the daemon is bitwise-identical to the in-process
 //! verdict for the same request: prove requests route through
-//! [`revterm::ProverSession::prove_first_with_deadline`], which *is*
-//! `prove_first` when the request carries no deadline, and session caches
-//! are pure memo tables.  The `serve_smoke` bench and the integration tests
+//! [`revterm::ProverSession::sweep`] with `stop_after = 1` folded by
+//! [`revterm::SweepReport::into_result`], which *is*
+//! [`revterm::ProverSession::prove_first`] when the request carries no
+//! deadline, and session caches are pure memo tables.  The `serve_smoke` bench and the integration tests
 //! check the [`revterm::outcome_digest`] fingerprints across the boundary.
 //!
 //! # Deadlines

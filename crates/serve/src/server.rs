@@ -301,7 +301,7 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
             let configs = default_if_empty(configs, revterm::quick_sweep);
             let (key, mut session, pool_hit) =
                 shared.pool.lock().expect("pool poisoned").checkout(&source)?;
-            let result = session.prove_first_with_deadline(&configs, deadline);
+            let result = session.sweep(&configs, 1, deadline).into_result();
             let outcome = WireOutcome::from_result(&result, session.ts());
             shared.metrics.lock().expect("metrics poisoned").record_prove_stats(&result.stats);
             shared.pool.lock().expect("pool poisoned").checkin(key, session);
@@ -310,15 +310,14 @@ fn execute(body: RequestBody, shared: &Arc<Shared>) -> Result<ResponseBody, Erro
         RequestBody::Sweep { source, configs, stop_after, deadline_ms } => {
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             let configs = default_if_empty(configs, revterm::degree1_sweep);
-            let stop_after = if stop_after == 0 { usize::MAX } else { stop_after };
             let (key, mut session, pool_hit) =
                 shared.pool.lock().expect("pool poisoned").checkout(&source)?;
-            let report = session.sweep_with_deadline(&configs, stop_after, deadline);
+            let report = session.sweep(&configs, stop_after, deadline);
             let outcomes = sweep_to_outcomes(&report);
             {
                 let mut metrics = shared.metrics.lock().expect("metrics poisoned");
                 for outcome in &report.outcomes {
-                    metrics.record_prove_stats(&outcome.stats);
+                    metrics.record_prove_stats(&outcome.result.stats);
                 }
             }
             shared.pool.lock().expect("pool poisoned").checkin(key, session);

@@ -95,12 +95,16 @@ fn sweeps_and_analyze_flow_through_the_daemon() {
     // Sweep with explicit configs, stop after the first success.
     let (outcomes, _) = client.sweep(DIVERGING, revterm::quick_sweep(), 1, None).unwrap();
     let mut session = ProverSession::from_source(DIVERGING).unwrap();
-    let report = session.sweep(&revterm::quick_sweep(), 1);
+    let report = session.sweep(&revterm::quick_sweep(), 1, None);
     assert_eq!(outcomes.len(), report.outcomes.len());
     for (wire, local) in outcomes.iter().zip(&report.outcomes) {
-        assert_eq!(wire.label, local.label);
-        assert_eq!(wire.is_non_terminating(), local.proved);
+        assert_eq!(wire.label, local.result.config_label);
+        assert_eq!(wire.is_non_terminating(), local.result.is_non_terminating());
     }
+
+    // `stop_after = 0` runs every configuration, on the wire as in process.
+    let (all, _) = client.sweep(DIVERGING, revterm::quick_sweep(), 0, None).unwrap();
+    assert_eq!(all.len(), revterm::quick_sweep().len());
 
     // Analyze returns the same report text as the in-process renderer.
     let report = client.analyze(DIVERGING).unwrap();

@@ -1213,6 +1213,31 @@ mod tests {
     }
 
     #[test]
+    fn ratio_test_ties_leave_the_lowest_basic_index() {
+        // minimise x0 s.t. 2·x0 + x1 + 2·x2 = 1, 2·x0 + x2 ≤ 1, x ≥ 0. The
+        // first phase-1 pivot brings x0 in with a tie (ratio 1/2 in both
+        // rows); the optimal face is the segment from (0, 1, 0) to
+        // (0, 0, 1/2), so the tie-break alone decides which end is returned
+        // and how many pivots it takes. Leaving towards the lowest basic
+        // index (the dense reference's rule) gives (0, 1, 0) in 3 pivots;
+        // the highest index would give (0, 0, 1/2) in 4.
+        let mut lp = LpProblem::new();
+        for i in 0..3 {
+            lp.set_var_kind(Var(i), VarKind::NonNegative);
+        }
+        lp.add_constraint(v(0).scale(&rat(2)) + v(1) + v(2).scale(&rat(2)) - e(1), Rel::Eq);
+        lp.add_constraint(v(0).scale(&rat(2)) + v(2) - e(1), Rel::Le);
+        lp.set_objective(v(0));
+        let mut stats = LpStats::default();
+        let revised = lp.solve_counted(&mut stats);
+        assert_eq!(revised, lp.solve_dense());
+        let solution = revised.solution().expect("feasible");
+        let values: Vec<Rat> = (0..3).map(|i| solution.value(Var(i))).collect();
+        assert_eq!(values, vec![rat(0), rat(1), rat(0)]);
+        assert_eq!(stats.pivots, 3);
+    }
+
+    #[test]
     fn lp_stats_accumulate_and_delta() {
         let mut a = LpStats { solves: 3, pivots: 10, absint_fast_paths: 0, ..LpStats::default() };
         let before = a;

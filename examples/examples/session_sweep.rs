@@ -6,7 +6,7 @@
 //! cargo run -p revterm-examples --example session_sweep
 //! ```
 
-use revterm::{degree1_sweep, ProverSession};
+use revterm::{degree1_sweep, ConfigOutcome, ProverSession};
 use revterm_examples::build;
 
 fn main() {
@@ -15,21 +15,21 @@ fn main() {
 
     let mut session = ProverSession::new(build(source));
     let configs = degree1_sweep();
-    let report = session.sweep(&configs, usize::MAX);
+    let report = session.sweep(&configs, 0, None);
 
     println!(
         "{} configurations, {} proved non-termination",
         report.outcomes.len(),
-        report.outcomes.iter().filter(|o| o.proved).count()
+        report.outcomes.iter().filter(|o| o.result.is_non_terminating()).count()
     );
-    for outcome in &report.outcomes {
+    for ConfigOutcome { result, .. } in &report.outcomes {
         println!(
             "  {:<36} {} in {:>9.2?}  ({} entailment calls, {} cached)",
-            outcome.label,
-            if outcome.proved { "NO   " } else { "MAYBE" },
-            outcome.elapsed,
-            outcome.stats.entailment_calls,
-            outcome.stats.entailment_cache_hits,
+            result.config_label,
+            if result.is_non_terminating() { "NO   " } else { "MAYBE" },
+            result.elapsed,
+            result.stats.entailment_calls,
+            result.stats.entailment_cache_hits,
         );
     }
 

@@ -46,6 +46,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark in revbench/ is its own workspace and a consumer of the
+# crates' public API, so no step above compiles it: build and test it here
+# so an API change that breaks it fails CI.
+echo "==> cargo test --release --offline --manifest-path revbench/Cargo.toml"
+cargo test --release --offline --manifest-path revbench/Cargo.toml
+
 if $run_bench_smoke; then
     # Bench smoke: one cheap benchmark through the session-vs-fresh harness
     # (~1 s) so every CI run leaves a comparable speedup/verdict JSON

@@ -55,7 +55,7 @@ fn expired_deadline_is_structured_timeout_and_does_not_poison_session() {
     for g in generate_batch(0xdead_11fe, 10, &GenConfig::default()) {
         let ts = revterm_ts::lower(&g.program).expect("generated programs lower");
         let mut session = ProverSession::new(ts.clone());
-        let cut = session.prove_first_with_deadline(&portfolio, Some(Instant::now()));
+        let cut = session.sweep(&portfolio, 1, Some(Instant::now())).into_result();
         assert!(cut.timed_out(), "seed {:016x}: 0-ms deadline must time out", g.seed);
         assert!(cut.certificate().is_none());
 
@@ -83,8 +83,8 @@ fn midrun_deadline_is_structured_timeout_and_does_not_poison_session() {
     let ts = revterm_ts::lower(&case.program).expect("corpus programs lower");
     let portfolio = default_portfolio();
     let mut session = ProverSession::new(ts.clone());
-    let cut = session
-        .prove_first_with_deadline(&portfolio, Some(Instant::now() + Duration::from_millis(1)));
+    let deadline = Instant::now() + Duration::from_millis(1);
+    let cut = session.sweep(&portfolio, 1, Some(deadline)).into_result();
     assert!(cut.timed_out(), "1-ms deadline must cut this program mid-run");
 
     let warm = session.prove_first(&portfolio);

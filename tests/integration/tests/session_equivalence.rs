@@ -1,8 +1,8 @@
 //! Session/fresh equivalence: a warm [`ProverSession`] must return exactly
-//! the verdicts (and certificate kinds) of the seed's free-function entry
-//! points, because every session cache is a pure memo table.
+//! the verdicts (and certificate kinds) of a fresh one-shot session per
+//! configuration, because every session cache is a pure memo table.
 
-use revterm::{prove, quick_sweep, ProverSession};
+use revterm::{quick_sweep, ProverSession};
 use revterm_suite::curated_benchmarks;
 
 /// Three cheap benchmarks spanning the interesting outcomes: a simple
@@ -19,7 +19,7 @@ fn session_verdicts_match_fresh_verdicts_on_quick_sweep() {
         let ts = bench.transition_system();
         let mut session = ProverSession::new(ts.clone());
         for config in quick_sweep() {
-            let fresh = prove(&ts, &config);
+            let fresh = ProverSession::new(ts.clone()).prove(&config);
             let sessioned = session.prove(&config);
             assert_eq!(
                 fresh.is_non_terminating(),
